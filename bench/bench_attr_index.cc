@@ -68,6 +68,7 @@ void BM_SelectiveSlice(benchmark::State& state) {
 BENCHMARK(BM_SelectiveSlice)
     ->ArgNames({"index", "depts"})
     ->ArgsProduct({{0, 1}, {100, 400, 1600}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

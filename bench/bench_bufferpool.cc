@@ -56,6 +56,7 @@ void BM_PoolSensitivity(benchmark::State& state) {
 BENCHMARK(BM_PoolSensitivity)
     ->ArgNames({"strategy", "pool"})
     ->ArgsProduct({{1, 2}, {8, 16, 32, 256}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

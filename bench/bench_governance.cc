@@ -140,6 +140,7 @@ void BM_DeadlineAbortLatency(benchmark::State& state) {
 BENCHMARK(BM_DeadlineAbortLatency)
     ->ArgNames({"strategy"})
     ->ArgsProduct({{0, 1, 2}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---- idle overhead ----------------------------------------------------
@@ -164,13 +165,14 @@ void BM_GovernanceIdleOverhead(benchmark::State& state) {
 BENCHMARK(BM_GovernanceIdleOverhead)
     ->ArgNames({"strategy", "governed"})
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMicrosecond);
 
 // ---- flight-recorder overhead (streaming path) ------------------------
 
 // Trace on/off twins over a cursor-drained current slice: unlike the
 // bench_queries twin (materialized Execute), this one exercises the
-// streaming producer and its span/queue emits. The drop counters ride
+// cursor's per-step span emits. The drop counters ride
 // along so ring overwrite pressure under sustained load is visible in
 // the artifact.
 void BM_TraceOverheadStreaming(benchmark::State& state) {
@@ -205,6 +207,7 @@ BENCHMARK(BM_TraceOverheadStreaming)
     ->ArgNames({"trace"})
     ->Arg(0)
     ->Arg(1)
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMicrosecond);
 
 // ---- budgeted full-history sweep --------------------------------------
@@ -270,6 +273,7 @@ void BM_BudgetedAllHistories(benchmark::State& state) {
 BENCHMARK(BM_BudgetedAllHistories)
     ->ArgNames({"strategy"})
     ->ArgsProduct({{0, 1, 2}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---- deterministic instrumentation firing ------------------------------
@@ -337,7 +341,9 @@ void BM_GovernanceFires(benchmark::State& state) {
   state.SetLabel("separated/fires");
 }
 
-BENCHMARK(BM_GovernanceFires)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GovernanceFires)
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bench

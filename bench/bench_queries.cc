@@ -83,6 +83,7 @@ void BM_MqlQuery(benchmark::State& state) {
 BENCHMARK(BM_MqlQuery)
     ->ArgNames({"strategy", "query"})
     ->ArgsProduct({{0, 1, 2}, {0, 1, 2, 3, 4, 5, 6, 7}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // Streaming cursor vs materialized execution as the result grows 64x
@@ -156,6 +157,7 @@ void BM_StreamingScan(benchmark::State& state) {
 BENCHMARK(BM_StreamingScan)
     ->ArgNames({"path", "depts", "mode"})
     ->ArgsProduct({{0, 1}, {1, 8, 64}, {0, 1}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // Flight-recorder overhead twins: the same hot-cache query against two
@@ -197,6 +199,7 @@ BENCHMARK(BM_TraceOverhead)
     ->ArgNames({"trace"})
     ->Arg(0)
     ->Arg(1)
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

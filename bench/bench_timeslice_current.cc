@@ -58,6 +58,7 @@ void BM_TimeSliceCurrent(benchmark::State& state) {
 BENCHMARK(BM_TimeSliceCurrent)
     ->ArgNames({"strategy", "versions"})
     ->ArgsProduct({{0, 1, 2}, {1, 4, 16, 64, 128}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

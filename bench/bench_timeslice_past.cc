@@ -73,6 +73,7 @@ void BM_TimeSlicePast(benchmark::State& state) {
 BENCHMARK(BM_TimeSlicePast)
     ->ArgNames({"strategy", "decile"})
     ->ArgsProduct({{0, 1, 2, 3}, {0, 3, 6, 9}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

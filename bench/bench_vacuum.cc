@@ -75,6 +75,7 @@ void BM_VacuumEffect(benchmark::State& state) {
 BENCHMARK(BM_VacuumEffect)
     ->ArgNames({"strategy", "vacuumed"})
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // Cold-history tiering ablation (Figure 13 extension, part 2).
@@ -188,6 +189,7 @@ void BM_TieringEffect(benchmark::State& state) {
 BENCHMARK(BM_TieringEffect)
     ->ArgNames({"strategy", "tiered", "hot_tail"})
     ->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}})
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

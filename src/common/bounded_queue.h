@@ -13,16 +13,12 @@
 namespace tcob {
 
 /// Bounded blocking multi-producer/single-consumer queue — the channel
-/// between streaming producers (fan-out workers, the cursor's executor
-/// thread) and the one consumer draining a query result.
+/// between the materializer's fan-out workers and the one thread
+/// consuming a query's roots.
 ///
-/// Capacity is *weighted*: each item carries a weight (the cursor pushes
-/// row batches weighted by their row count), and Push blocks while the
-/// queued weight would exceed the capacity — that blocking is the
+/// Push blocks while `capacity` items are queued — that blocking is the
 /// backpressure which keeps a slow consumer's memory flat no matter how
-/// large the result is. An item heavier than the whole capacity is
-/// admitted alone into an empty queue, so oversized batches stall but
-/// never deadlock.
+/// large the result is.
 ///
 /// Shutdown protocol:
 ///  * every producer calls CloseProducer(status) exactly once; the first
@@ -37,27 +33,23 @@ namespace tcob {
 template <typename T>
 class BoundedQueue {
  public:
-  /// `capacity` is the maximum queued weight (> 0); `producers` is how
-  /// many CloseProducer calls end the stream.
+  /// `capacity` is the maximum number of queued items (> 0); `producers`
+  /// is how many CloseProducer calls end the stream.
   explicit BoundedQueue(size_t capacity, size_t producers = 1)
       : capacity_(capacity == 0 ? 1 : capacity), producers_open_(producers) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks until the item fits (or the queue empties, for oversized
-  /// items). Returns false — dropping the item — once the consumer has
-  /// closed; the producer should stop then.
-  bool Push(T item, size_t weight = 1) {
+  /// Blocks until the item fits. Returns false — dropping the item — once
+  /// the consumer has closed; the producer should stop then.
+  bool Push(T item) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock, [&] {
-      return consumer_closed_ || items_.empty() ||
-             weight_ + weight <= capacity_;
+      return consumer_closed_ || items_.size() < capacity_;
     });
     if (consumer_closed_) return false;
-    items_.emplace_back(std::move(item), weight);
-    weight_ += weight;
-    if (weight_ > peak_weight_) peak_weight_ = weight_;
+    items_.push_back(std::move(item));
     not_empty_.notify_one();
     return true;
   }
@@ -70,8 +62,7 @@ class BoundedQueue {
       return !items_.empty() || producers_open_ == 0;
     });
     if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front().first);
-    weight_ -= items_.front().second;
+    T item = std::move(items_.front());
     items_.pop_front();
     not_full_.notify_all();
     return item;
@@ -103,20 +94,11 @@ class BoundedQueue {
     return producer_status_;
   }
 
-  /// High-water mark of the queued weight — with row-weighted batches,
-  /// the most rows that were ever buffered at once.
-  size_t peak_weight() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return peak_weight_;
-  }
-
  private:
   mutable std::mutex mu_;
-  std::condition_variable not_full_;   // producers: weight may fit now
+  std::condition_variable not_full_;   // producers: an item may fit now
   std::condition_variable not_empty_;  // consumer: item or end of stream
-  std::deque<std::pair<T, size_t>> items_;
-  size_t weight_ = 0;
-  size_t peak_weight_ = 0;
+  std::deque<T> items_;
   const size_t capacity_;
   size_t producers_open_;
   bool consumer_closed_ = false;

@@ -19,7 +19,7 @@ namespace tcob {
 /// Workers call Check() at batch boundaries (per molecule, per pinned
 /// atom, every few dozen scan callbacks) and unwind with a clean
 /// Status::Cancelled / Status::DeadlineExceeded, so a query aborts in
-/// bounded time while every frame, pin and producer thread is released
+/// bounded time while every frame, pin and fan-out worker is released
 /// through the normal error path.
 ///
 /// Check() is cheap enough for hot loops: one relaxed atomic load, plus

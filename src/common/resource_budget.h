@@ -15,7 +15,7 @@ namespace tcob {
 /// Lock-free global byte accounting with an optional hard cap.
 ///
 /// Memory consumers that can grow with the data — version-cache pins,
-/// cursor queue batches, cold-segment decode buffers — charge their
+/// a cursor's buffered rows, cold-segment decode buffers — charge their
 /// bytes here and release them when done. TryCharge never blocks: past
 /// the cap it refuses (and counts the rejection) and the caller sheds
 /// load instead — the materializer drops its pinned cache between roots,
@@ -87,8 +87,8 @@ class ResourceBudget {
 /// budget refused, so callers can both report accurate per-query memory
 /// and detect budget pressure (TakePressure) to shed their caches.
 ///
-/// Thread-safe: one query's charges arrive from the producer thread and
-/// every fan-out worker concurrently. A null budget means "account
+/// Thread-safe: one query's charges arrive from the thread stepping its
+/// cursor and every fan-out worker concurrently. A null budget means "account
 /// locally, never refuse".
 class BudgetLease {
  public:

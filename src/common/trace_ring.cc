@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 namespace tcob {
 
@@ -30,13 +32,27 @@ thread_local uint64_t g_thread_query_id = 0;
 
 /// One-entry thread-local ring cache. Most threads talk to one recorder
 /// at a time (their database's); switching recorders falls back to the
-/// registry lookup under the recorder mutex.
+/// thread's ring list.
 thread_local uint64_t g_cached_recorder_id = 0;
 thread_local void* g_cached_ring = nullptr;
 
 uint64_t NextRecorderId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Live recorders by id. Thread-exit hooks look their recorders up here
+/// (under `mu`, which a recorder's destructor also takes to unregister),
+/// so a hook never touches a recorder destroyed before its thread.
+/// Leaked on purpose: hooks may run during static destruction.
+struct RecorderRegistry {
+  std::mutex mu;
+  std::unordered_map<uint64_t, TraceRecorder*> live;
+};
+
+RecorderRegistry& Registry() {
+  static RecorderRegistry* registry = new RecorderRegistry();
+  return *registry;
 }
 
 constexpr size_t kWordsPerEvent = 4;
@@ -228,9 +244,35 @@ struct TraceRecorder::Ring {
   }
 
   const size_t capacity;
-  const uint32_t tid;
+  /// Ordinal of the owning thread; rewritten (under the recorder mutex)
+  /// when an exited thread's ring is handed to a new one.
+  uint32_t tid;
   std::unique_ptr<std::atomic<uint64_t>[]> words;
   std::atomic<uint64_t> head{0};
+};
+
+struct TraceRecorder::ThreadRings {
+  std::vector<std::pair<uint64_t, Ring*>> rings;  // (recorder id, ring)
+
+  ~ThreadRings() {
+    g_cached_recorder_id = 0;
+    RecorderRegistry& registry = Registry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    for (const auto& [id, ring] : rings) {
+      auto it = registry.live.find(id);
+      if (it != registry.live.end()) it->second->ReleaseRing(ring);
+    }
+  }
+
+  /// Forgets the rings of recorders that no longer exist, so a thread
+  /// outliving many databases keeps a short list.
+  void Prune() {
+    RecorderRegistry& registry = Registry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    std::erase_if(rings, [&registry](const std::pair<uint64_t, Ring*>& e) {
+      return registry.live.count(e.first) == 0;
+    });
+  }
 };
 
 TraceRecorder::TraceRecorder(const TraceOptions& options)
@@ -239,9 +281,17 @@ TraceRecorder::TraceRecorder(const TraceOptions& options)
       configured_mask_(options.categories),
       live_mask_(options.enabled ? options.categories : 0),
       ring_capacity_(std::max<uint64_t>(
-          64, options.ring_bytes / (kWordsPerEvent * sizeof(uint64_t)))) {}
+          64, options.ring_bytes / (kWordsPerEvent * sizeof(uint64_t)))) {
+  RecorderRegistry& registry = Registry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  registry.live[id_] = this;
+}
 
-TraceRecorder::~TraceRecorder() = default;
+TraceRecorder::~TraceRecorder() {
+  RecorderRegistry& registry = Registry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  registry.live.erase(id_);
+}
 
 uint64_t TraceRecorder::ThreadQueryId() { return g_thread_query_id; }
 
@@ -262,26 +312,57 @@ void TraceRecorder::set_categories(uint32_t mask) {
   }
 }
 
+TraceRecorder::ThreadRings& TraceRecorder::ThisThreadRings() {
+  thread_local ThreadRings rings;
+  return rings;
+}
+
 TraceRecorder::Ring* TraceRecorder::RingForThisThread() {
   if (g_cached_recorder_id == id_) {
     return static_cast<Ring*>(g_cached_ring);
   }
-  uint32_t tid = ThisThreadOrdinal();
-  std::lock_guard<std::mutex> lock(mu_);
+  ThreadRings& mine = ThisThreadRings();
   Ring* ring = nullptr;
-  for (const auto& r : rings_) {
-    if (r->tid == tid) {
-      ring = r.get();
+  for (const auto& [id, r] : mine.rings) {
+    if (id == id_) {
+      ring = r;
       break;
     }
   }
   if (ring == nullptr) {
-    rings_.push_back(std::make_unique<Ring>(ring_capacity_, tid));
-    ring = rings_.back().get();
+    mine.Prune();
+    ring = AcquireRing(ThisThreadOrdinal());
+    mine.rings.emplace_back(id_, ring);
   }
   g_cached_recorder_id = id_;
   g_cached_ring = ring;
   return ring;
+}
+
+TraceRecorder::Ring* TraceRecorder::AcquireRing(uint32_t tid) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!free_rings_.empty()) {
+    Ring* ring = free_rings_.back();
+    free_rings_.pop_back();
+    ring->tid = tid;
+    return ring;
+  }
+  rings_.push_back(std::make_unique<Ring>(ring_capacity_, tid));
+  return rings_.back().get();
+}
+
+void TraceRecorder::ReleaseRing(Ring* ring) {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_rings_.push_back(ring);
+}
+
+size_t TraceRecorder::ring_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return rings_.size();
+}
+
+uint64_t TraceRecorder::ring_bytes() const {
+  return ring_count() * ring_capacity_ * kWordsPerEvent * sizeof(uint64_t);
 }
 
 void TraceRecorder::Emit(TraceEventType type, uint64_t arg) {
@@ -453,6 +534,12 @@ void TraceRecorder::RegisterMetrics(MetricsRegistry* registry) const {
     registry->RegisterCounter("tcob_trace_" + cat + "_dropped_total",
                               &dropped_[i]);
   }
+  registry->RegisterGaugeFn("tcob_trace_rings", [this]() {
+    return static_cast<int64_t>(ring_count());
+  });
+  registry->RegisterGaugeFn("tcob_trace_ring_bytes", [this]() {
+    return static_cast<int64_t>(ring_bytes());
+  });
 }
 
 }  // namespace tcob

@@ -61,6 +61,13 @@ struct TraceEvent {
 /// process-wide ordinals (stable for the life of the thread); the query
 /// id is ambient per thread (TraceQueryScope), so deep subsystems
 /// (pool, WAL) attribute their events without plumbing.
+///
+/// Rings are reused: when a thread exits, its rings go back to their
+/// recorders' free lists (a recorder destroyed first is skipped), and
+/// the next new recording thread takes one over — keeping its earlier
+/// events, stamped with the old thread's id, until they are overwritten.
+/// The ring count is therefore bounded by the peak number of threads
+/// recording at once, not by how many threads ever recorded.
 class TraceRecorder {
  public:
   explicit TraceRecorder(const TraceOptions& options);
@@ -119,8 +126,14 @@ class TraceRecorder {
     return dropped_[TraceCategoryIndex(cat_bit)].value();
   }
 
+  /// Rings allocated so far (owned by live threads or on the free list).
+  size_t ring_count() const;
+  /// Bytes of ring storage allocated so far.
+  uint64_t ring_bytes() const;
+
   /// Publishes per-category recorded/dropped counters under
-  /// tcob_trace_<category>_{recorded,dropped}_total.
+  /// tcob_trace_<category>_{recorded,dropped}_total, plus the
+  /// tcob_trace_rings and tcob_trace_ring_bytes gauges.
   void RegisterMetrics(MetricsRegistry* registry) const;
 
   /// The ambient query id of the calling thread (0 = none).
@@ -130,11 +143,22 @@ class TraceRecorder {
   friend class TraceQueryScope;
 
   struct Ring;
+  struct ThreadRings;
 
   static void SetThreadQueryId(uint64_t qid);
 
-  /// The calling thread's ring (created and registered on first use).
+  /// The calling thread's ring (taken from the free list or allocated on
+  /// first use).
   Ring* RingForThisThread();
+
+  /// The calling thread's (recorder id, ring) list, whose destructor —
+  /// run at thread exit — hands the rings back to their live recorders.
+  static ThreadRings& ThisThreadRings();
+
+  /// A free ring (or a new one) handed to the thread with ordinal `tid`.
+  Ring* AcquireRing(uint32_t tid);
+  /// Returns an exited thread's ring to the free list.
+  void ReleaseRing(Ring* ring);
 
   void Record(uint64_t ts_us, TraceEventType type, uint64_t arg,
               uint64_t query_id);
@@ -150,9 +174,11 @@ class TraceRecorder {
   std::atomic<uint32_t> live_mask_;
   const size_t ring_capacity_;  // events per ring
 
-  /// Guards rings_ (registration and snapshot), never the Emit path.
+  /// Guards rings_ and free_rings_ (thread start/exit and snapshot),
+  /// never the Emit path.
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Ring>> rings_;
+  std::vector<Ring*> free_rings_;  // rings of exited threads
 
   Counter recorded_[kTraceCategoryCount];
   Counter dropped_[kTraceCategoryCount];
@@ -166,7 +192,7 @@ inline void TraceEmit(TraceRecorder* r, TraceEventType type,
 }
 
 /// RAII ambient query id: set on every thread that does work for one
-/// query (the statement thread, the streaming producer, each fan-out
+/// query (the statement thread while it runs a cursor step, each fan-out
 /// worker) so events emitted anywhere below attribute to it.
 class TraceQueryScope {
  public:

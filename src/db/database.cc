@@ -995,7 +995,7 @@ Result<ResultSet> Database::Explain(const std::string& select_mql,
 
 /// Everything one SELECT cursor's execution needs alive until it is
 /// finalized: the statement copy, the trace, the counter baselines, and
-/// the materializer/executor pair the producer thread runs against.
+/// the materializer/executor pair its steps run against.
 struct Database::SelectCursorContext {
   SelectStmt stmt;
   QueryStats trace;
@@ -1005,7 +1005,7 @@ struct Database::SelectCursorContext {
   ColdTierAccessStats tiering_before;
   BufferPoolStats pool_before;
   /// Cancellation scope of this query (deadline armed from options);
-  /// shared with the cursor so Cancel() reaches the producer.
+  /// shared with the cursor so Cancel() reaches a step in progress.
   std::shared_ptr<QueryContext> qctx;
   /// Per-query memory accounting against the database budget
   /// (immovable, so emplaced once the context exists).
@@ -1021,6 +1021,10 @@ struct Database::SelectCursorContext {
   std::optional<Materializer> mat;
   std::optional<SelectExecutor> exec;
   SelectPlan plan;
+  /// The statement's root stream, opened by the first step and ended by
+  /// the finalize hook (declared last: it must die before everything
+  /// above).
+  std::unique_ptr<RootStream> stream;
 };
 
 Result<std::unique_ptr<Cursor>> Database::Query(const std::string& mql) {
@@ -1094,8 +1098,8 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   ctx->query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
   ctx->qctx->set_query_id(ctx->query_id);
   // The open path (admission, planning, and — for pipeline breakers —
-  // the whole execution) runs on this thread under the query's id; the
-  // producer thread and the finalize hook re-establish it themselves.
+  // the whole execution) runs under the query's id; the cursor's steps
+  // and its finalize hook re-establish it themselves.
   TraceQueryScope qscope(ctx->query_id);
   trace_rec_.Emit(TraceEventType::kQueryBegin);
   ctx->lease.emplace(&memory_budget_);
@@ -1141,11 +1145,12 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   }
   ctx->plan = std::move(plan).value();
   ctx->trace.surface = "streaming";
-  // The producer thread owns a share of the context; the finalize hook
-  // runs back on this thread (Next/Close after the producer joined).
-  auto producer = [ctx](RowSink* sink) -> Status {
+  // Every step and the finalize hook run on the thread pulling rows; the
+  // query id is ambient only while one of them runs.
+  auto step = [this, ctx](RowBuffer* rows) -> Result<bool> {
     TraceQueryScope qscope(ctx->query_id);
-    return ctx->exec->ExecuteStreaming(ctx->stmt, ctx->plan, sink);
+    TraceSpanScope span(&trace_rec_, TraceSpanId::kStream);
+    return ctx->exec->Step(ctx->stmt, ctx->plan, &ctx->stream, rows);
   };
   auto on_first_row = [ctx] {
     ctx->trace.first_row_us =
@@ -1153,6 +1158,8 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   };
   auto finalize = [this, ctx](const Status& status,
                               const StreamingCursorStats& stats) {
+    TraceQueryScope qscope(ctx->query_id);
+    ctx->exec->Finish(ctx->stmt, &ctx->stream);
     ctx->final_status = status;  // sticky in the cursor; kept for the trace
     ctx->trace.rows = stats.rows_streamed;
     ctx->trace.rows_streamed = stats.rows_streamed;
@@ -1163,7 +1170,7 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   copts.context = ctx->qctx;
   copts.lease = &*ctx->lease;
   return std::unique_ptr<Cursor>(new StreamingCursor(
-      ctx->plan.columns, ctx->plan.message, std::move(producer),
+      ctx->plan.columns, ctx->plan.message, std::move(step),
       std::move(finalize), std::move(on_first_row), copts));
 }
 

@@ -280,11 +280,12 @@ class Database {
 
   /// Parses one MQL statement and opens a pull cursor over its result
   /// (see cursor.h for the lifecycle contract). SELECTs without
-  /// aggregates/ORDER BY stream: a producer thread runs the executor
-  /// against a bounded queue, so the first row is available while the
-  /// rest are still being made and buffered memory stays flat no matter
-  /// the result size. Pipeline breakers and non-SELECT statements
-  /// execute eagerly and return a cursor over the finished result.
+  /// aggregates/ORDER BY stream: each pull that finds no buffered row
+  /// advances the query by one root on the calling thread, so the first
+  /// row is available after one root's work and buffered memory stays
+  /// flat no matter the result size; no thread is started per query.
+  /// Pipeline breakers and non-SELECT statements execute eagerly and
+  /// return a cursor over the finished result.
   /// Drain or Close the cursor before the next statement on this
   /// Database, and before destroying it.
   Result<std::unique_ptr<Cursor>> Query(const std::string& mql);
@@ -500,8 +501,8 @@ class Database {
   /// counter baselines); lives until the cursor is finalized.
   struct SelectCursorContext;
 
-  /// Opens a cursor over a SELECT: the streaming executor behind a
-  /// producer thread when the statement can stream, a cursor over the
+  /// Opens a cursor over a SELECT: a cursor stepping the executor one
+  /// root per refill when the statement can stream, a cursor over the
   /// eagerly-executed result otherwise. Either way the query trace is
   /// finalized (counter deltas, metrics, slow-query log,
   /// last_query_stats_) exactly once, when the cursor finishes.

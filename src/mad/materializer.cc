@@ -11,87 +11,195 @@
 
 namespace tcob {
 
+/// The fan-out half of a RootStream: worker w builds roots w, w+W,
+/// w+2W, ... against its own cache into its own bounded channel, so the
+/// consumer popping channel i mod W sees items in root order while the
+/// workers stay at most a channel's capacity ahead of it.
+class RootStream::FanOut {
+ public:
+  FanOut(RootStream* stream, size_t workers) : stream_(stream) {
+    const Materializer* mat = stream_->mat_;
+    for (size_t w = 0; w < workers; ++w) {
+      caches_.push_back(mat->NewCache(stream_->window_));
+      channels_.push_back(std::make_unique<Channel>(kChannelCapacity));
+    }
+    dropped_stats_.resize(workers);
+    worker_us_.assign(workers, 0.0);
+    std::vector<std::function<void()>> tasks;
+    for (size_t w = 0; w < workers; ++w) {
+      tasks.push_back([this, w] { Work(w); });
+    }
+    batch_ = mat->pool_->Submit(std::move(tasks));
+  }
+
+  // The workers hold `this`.
+  FanOut(const FanOut&) = delete;
+  FanOut& operator=(const FanOut&) = delete;
+
+  /// The item of root `i`; callers take roots strictly in order.
+  Result<RootResult> Take(size_t i) {
+    std::optional<Result<RootResult>> item =
+        channels_[i % channels_.size()]->Pop();
+    if (!item.has_value()) {
+      return Status::Internal("fan-out worker ended before root " +
+                              std::to_string(i));
+    }
+    return std::move(*item);
+  }
+
+  /// Lets the workers finish their roots (`drain`) or aborts them, joins
+  /// them, and folds their cache stats and timings into the materializer.
+  void Stop(bool drain) {
+    if (drain) {
+      for (auto& channel : channels_) {
+        while (channel->Pop().has_value()) {
+        }
+      }
+    } else {
+      abort_.store(true, std::memory_order_release);
+      for (auto& channel : channels_) channel->CloseConsumer();
+    }
+    const Materializer* mat = stream_->mat_;
+    mat->pool_->Wait(batch_);
+    for (const VersionCache& c : caches_) mat->cache_stats_ += c.stats();
+    for (const VersionCacheStats& s : dropped_stats_) mat->cache_stats_ += s;
+    mat->last_worker_us_ = worker_us_;
+    caches_.clear();  // return the pinned versions to the budget now
+  }
+
+ private:
+  using Channel = BoundedQueue<Result<RootResult>>;
+  static constexpr size_t kChannelCapacity = 16;
+
+  void Work(size_t w) {
+    const Materializer* mat = stream_->mat_;
+    // Pool threads carry no ambient query id of their own: adopt this
+    // query's so everything the worker touches below (version cache,
+    // buffer pool, cold tier) attributes to it.
+    TraceQueryScope qscope(mat->ctx_ != nullptr ? mat->ctx_->query_id() : 0);
+    TraceSpanScope span(mat->trace_rec_, TraceSpanId::kWorker);
+    StopwatchUs timer;
+    for (size_t i = w; i < stream_->roots_.size(); i += channels_.size()) {
+      if (abort_.load(std::memory_order_acquire)) break;
+      Result<RootResult> r =
+          stream_->BuildGoverned(i, &caches_[w], &dropped_stats_[w]);
+      // A real error is this worker's last item: the roots after it
+      // cannot hold the first error in root order.
+      const bool hard_error = !r.ok() && !stream_->Skipped(r);
+      if (!channels_[w]->Push(std::move(r))) break;  // consumer left
+      if (hard_error) break;
+    }
+    channels_[w]->CloseProducer();
+    worker_us_[w] = timer.ElapsedUs();
+  }
+
+  RootStream* const stream_;
+  // Each worker touches only its own slot of these.
+  std::vector<VersionCache> caches_;
+  std::vector<VersionCacheStats> dropped_stats_;
+  std::vector<double> worker_us_;
+  std::vector<std::unique_ptr<Channel>> channels_;
+  std::atomic<bool> abort_{false};
+  ThreadPool::BatchHandle batch_;
+};
+
+RootStream::RootStream(const Materializer* mat, const MoleculeTypeDef& type,
+                       std::vector<AtomId> roots, bool history, Timestamp t,
+                       const Interval& window, bool skip_not_found)
+    : mat_(mat),
+      type_(type),
+      roots_(std::move(roots)),
+      history_(history),
+      t_(t),
+      window_(window),
+      skip_not_found_(skip_not_found) {
+  mat_->last_worker_us_.clear();
+  if (mat_->UseParallel(roots_.size())) {
+    fanout_ = std::make_unique<FanOut>(
+        this, std::min(mat_->pool_->workers(), roots_.size()));
+  } else {
+    // One cache for the whole statement: a sub-object shared by many
+    // molecules (a department referenced by every employee) is fetched
+    // once.
+    cache_.emplace(mat_->NewCache(window_));
+  }
+}
+
+RootStream::~RootStream() { Finish(/*drain=*/false); }
+
+Result<bool> RootStream::Next(RootResult* out) {
+  if (!error_.ok()) return error_;
+  while (next_ < roots_.size()) {
+    const size_t i = next_++;
+    Result<RootResult> r =
+        fanout_ != nullptr ? fanout_->Take(i)
+                           : BuildGoverned(i, &*cache_, &mat_->cache_stats_);
+    if (Skipped(r)) continue;
+    if (!r.ok()) return Fail(r.status());
+    *out = std::move(r).value();
+    return true;
+  }
+  Finish(/*drain=*/false);
+  return false;
+}
+
+Result<RootResult> RootStream::BuildGoverned(size_t i, VersionCache* cache,
+                                             VersionCacheStats* dropped) const {
+  TCOB_RETURN_NOT_OK(mat_->CheckContext());
+  if (mat_->lease_ != nullptr && mat_->lease_->TakePressure()) {
+    // Budget pressure: drop the pinned cache and continue fresh. Only
+    // between roots — HistorySweep holds raw entry pointers while it runs.
+    *dropped += cache->stats();
+    *cache = mat_->NewCache(window_);
+  }
+  RootResult r;
+  if (history_) {
+    TCOB_ASSIGN_OR_RETURN(r.history,
+                          mat_->HistorySweep(type_, roots_[i], window_, cache));
+  } else {
+    TCOB_ASSIGN_OR_RETURN(
+        r.molecule, mat_->MaterializeAsOfImpl(type_, roots_[i], t_, cache));
+  }
+  return r;
+}
+
+bool RootStream::Skipped(const Result<RootResult>& r) const {
+  // Candidate lists may over-approximate (index false positives); a root
+  // alive in the window but never materializable (its states all gaps)
+  // is silent.
+  if (!r.ok()) return skip_not_found_ && r.status().IsNotFound();
+  return history_ && r.value().history.states.empty();
+}
+
+Status RootStream::Fail(Status status) {
+  error_ = status;
+  Finish(/*drain=*/true);
+  return status;
+}
+
+void RootStream::Finish(bool drain) {
+  if (finished_) return;
+  finished_ = true;
+  if (fanout_ != nullptr) fanout_->Stop(drain);
+  if (cache_.has_value()) {
+    mat_->cache_stats_ += cache_->stats();
+    cache_.reset();
+  }
+}
+
 namespace {
 
-/// Streaming fan-out scaffold shared by the as-of and history operators.
-/// `materialize(item, worker)` builds one item on the worker's private
-/// cache; `deliver` consumes results on the calling thread in item order
-/// — the same splice the barrier version produced, so output stays
-/// byte-identical to serial execution. Workers run ahead of the consumer
-/// only as far as their bounded channel allows (backpressure bounds
-/// buffered results at workers x capacity, independent of `n`), and the
-/// consumer overlaps with them instead of waiting for a join.
-///
-/// Error protocol: a worker stops its own partition at its first real
-/// error (a deterministic position), the other workers complete their
-/// partitions in full, and the first error in item order is returned —
-/// the same report the serial loop gives, with run-to-run deterministic
-/// work counters. A `deliver` that returns false aborts the workers and
-/// drains their in-flight tail.
-template <typename R>
-Status StreamFanOut(
-    ThreadPool* pool, size_t n, size_t workers, bool skip_not_found,
-    std::vector<double>* worker_us, TraceRecorder* rec, uint64_t query_id,
-    const std::function<Result<R>(size_t item, size_t worker)>& materialize,
-    const std::function<Result<bool>(R)>& deliver) {
-  constexpr size_t kChannelCapacity = 16;
-  std::vector<std::unique_ptr<BoundedQueue<Result<R>>>> channels;
-  channels.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    channels.push_back(
-        std::make_unique<BoundedQueue<Result<R>>>(kChannelCapacity));
+/// Feeds a stream's items to `fn` until the stream ends or `fn` declines.
+Status DrainStream(Result<std::unique_ptr<RootStream>> stream,
+                   const std::function<Result<bool>(RootResult*)>& fn) {
+  TCOB_RETURN_NOT_OK(stream.status());
+  RootResult item;
+  for (;;) {
+    TCOB_ASSIGN_OR_RETURN(bool more, stream.value()->Next(&item));
+    if (!more) return Status::OK();
+    TCOB_ASSIGN_OR_RETURN(bool keep_going, fn(&item));
+    if (!keep_going) return Status::OK();
   }
-  std::atomic<bool> abort{false};
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = n * w / workers;
-    const size_t end = n * (w + 1) / workers;
-    tasks.push_back([&, w, begin, end] {
-      // Pool threads carry no ambient query id of their own: adopt this
-      // query's for the batch so everything the worker touches below
-      // (version cache, buffer pool, cold tier) attributes to it.
-      TraceQueryScope qscope(query_id);
-      TraceSpanScope span(rec, TraceSpanId::kWorker);
-      StopwatchUs timer;
-      for (size_t i = begin; i < end; ++i) {
-        if (abort.load(std::memory_order_acquire)) break;
-        Result<R> r = materialize(i, w);
-        const bool hard_error =
-            !r.ok() && !(skip_not_found && r.status().IsNotFound());
-        if (!channels[w]->Push(std::move(r))) break;  // consumer left
-        if (hard_error) break;  // later items cannot be the first error
-      }
-      channels[w]->CloseProducer();
-      (*worker_us)[w] = timer.ElapsedUs();
-    });
-  }
-  ThreadPool::BatchHandle batch = pool->Submit(std::move(tasks));
-
-  Status first_error = Status::OK();
-  bool stopped = false;
-  for (size_t w = 0; w < workers; ++w) {
-    while (std::optional<Result<R>> item = channels[w]->Pop()) {
-      if (!first_error.ok() || stopped) continue;  // draining only
-      if (!item->ok()) {
-        if (skip_not_found && item->status().IsNotFound()) continue;
-        first_error = item->status();  // first in item order
-        continue;
-      }
-      Result<bool> keep_going = deliver(std::move(*item).value());
-      if (!keep_going.ok()) {
-        first_error = keep_going.status();
-        continue;
-      }
-      if (!keep_going.value() && !stopped) {
-        stopped = true;
-        abort.store(true, std::memory_order_release);
-        for (auto& channel : channels) channel->CloseConsumer();
-      }
-    }
-  }
-  pool->Wait(batch);
-  return first_error;
 }
 
 }  // namespace
@@ -194,140 +302,60 @@ Result<Molecule> Materializer::MaterializeAsOfImpl(const MoleculeTypeDef& type,
   return mol;
 }
 
+std::unique_ptr<RootStream> Materializer::OpenStream(
+    const MoleculeTypeDef& type, std::vector<AtomId> roots, bool history,
+    Timestamp t, const Interval& window, bool skip_not_found) const {
+  return std::unique_ptr<RootStream>(new RootStream(
+      this, type, std::move(roots), history, t, window, skip_not_found));
+}
+
+Result<std::unique_ptr<RootStream>> Materializer::StreamAsOf(
+    const MoleculeTypeDef& type, Timestamp t) const {
+  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* root_type,
+                        AtomTypeOf(type.root_type));
+  std::vector<AtomId> roots;
+  TCOB_RETURN_NOT_OK(store_->ScanAsOf(
+      *root_type, t, [&](const AtomVersion& root) -> Result<bool> {
+        roots.push_back(root.id);
+        TCOB_RETURN_NOT_OK(CheckEvery64(roots.size()));
+        return true;
+      }));
+  // A scanned root is valid at t by construction, so NotFound is a real
+  // error here.
+  return OpenStream(type, std::move(roots), /*history=*/false, t,
+                    Interval::At(t), /*skip_not_found=*/false);
+}
+
+Result<std::unique_ptr<RootStream>> Materializer::StreamAsOf(
+    const MoleculeTypeDef& type, std::vector<AtomId> roots,
+    Timestamp t) const {
+  return OpenStream(type, std::move(roots), /*history=*/false, t,
+                    Interval::At(t), /*skip_not_found=*/true);
+}
+
+Result<std::unique_ptr<RootStream>> Materializer::StreamHistories(
+    const MoleculeTypeDef& type, const Interval& window) const {
+  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* root_type,
+                        AtomTypeOf(type.root_type));
+  std::set<AtomId> roots;
+  size_t scanned = 0;
+  TCOB_RETURN_NOT_OK(store_->ScanVersions(
+      *root_type, window, [&](const AtomVersion& v) -> Result<bool> {
+        roots.insert(v.id);
+        TCOB_RETURN_NOT_OK(CheckEvery64(++scanned));
+        return true;
+      }));
+  return OpenStream(type, std::vector<AtomId>(roots.begin(), roots.end()),
+                    /*history=*/true, window.begin, window,
+                    /*skip_not_found=*/false);
+}
+
 Status Materializer::AllMoleculesAsOf(
     const MoleculeTypeDef& type, Timestamp t,
     const std::function<Result<bool>(Molecule)>& fn) const {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* root_type,
-                        AtomTypeOf(type.root_type));
-  last_worker_us_.clear();
-  if (pool_ != nullptr && pool_->workers() > 1) {
-    // Collect the qualifying roots first (in scan order — the order the
-    // serial path would emit), then fan the materialization out.
-    std::vector<AtomId> roots;
-    TCOB_RETURN_NOT_OK(store_->ScanAsOf(
-        *root_type, t, [&](const AtomVersion& root) -> Result<bool> {
-          roots.push_back(root.id);
-          if (ctx_ != nullptr && (roots.size() & 63) == 0) {
-            Status governed = ctx_->Check();
-            if (!governed.ok()) return governed;
-          }
-          return true;
-        }));
-    if (roots.size() > 1) {
-      // A scanned root is valid at t by construction, so NotFound is a
-      // real error here — propagate it like the serial loop would.
-      return ParallelMoleculesAsOf(type, roots, t,
-                                   /*skip_not_found=*/false, fn);
-    }
-    // Fall through: zero or one root gains nothing from the pool.
-    VersionCache cache = NewCache(Interval::At(t));
-    Status out = Status::OK();
-    for (AtomId root : roots) {
-      Result<Molecule> mol = MaterializeAsOfImpl(type, root, t, &cache);
-      if (!mol.ok()) {
-        out = mol.status();
-        break;
-      }
-      Result<bool> keep_going = fn(std::move(mol).value());
-      if (!keep_going.ok()) {
-        out = keep_going.status();
-        break;
-      }
-      if (!keep_going.value()) break;
-    }
-    cache_stats_ += cache.stats();
-    return out;
-  }
-  // One cache for the whole scan: a sub-object shared by many molecules
-  // (a department referenced by every employee) is fetched once.
-  VersionCache cache = NewCache(Interval::At(t));
-  Status out = store_->ScanAsOf(
-      *root_type, t, [&](const AtomVersion& root) -> Result<bool> {
-        Status governed = CheckContext();
-        if (!governed.ok()) return governed;
-        if (lease_ != nullptr && lease_->TakePressure()) {
-          cache_stats_ += cache.stats();
-          cache = NewCache(Interval::At(t));
-        }
-        TCOB_ASSIGN_OR_RETURN(
-            Molecule mol, MaterializeAsOfImpl(type, root.id, t, &cache));
-        return fn(std::move(mol));
-      });
-  cache_stats_ += cache.stats();
-  return out;
-}
-
-Status Materializer::MoleculesAsOf(
-    const MoleculeTypeDef& type, const std::vector<AtomId>& roots,
-    Timestamp t, const std::function<Result<bool>(Molecule)>& fn) const {
-  last_worker_us_.clear();
-  if (UseParallel(roots.size())) {
-    return ParallelMoleculesAsOf(type, roots, t, /*skip_not_found=*/true, fn);
-  }
-  // Query-scoped cache: molecules of different roots share pinned
-  // sub-objects instead of re-fetching them per root.
-  VersionCache cache = NewCache(Interval::At(t));
-  Status out = Status::OK();
-  for (AtomId root : roots) {
-    out = CheckContext();
-    if (!out.ok()) break;
-    if (lease_ != nullptr && lease_->TakePressure()) {
-      // Budget pressure: drop the pinned cache and continue fresh.
-      cache_stats_ += cache.stats();
-      cache = NewCache(Interval::At(t));
-    }
-    Result<Molecule> mol = MaterializeAsOfImpl(type, root, t, &cache);
-    if (!mol.ok()) {
-      // Candidate lists may over-approximate (index false positives).
-      if (mol.status().IsNotFound()) continue;
-      out = mol.status();
-      break;
-    }
-    Result<bool> keep_going = fn(std::move(mol).value());
-    if (!keep_going.ok()) {
-      out = keep_going.status();
-      break;
-    }
-    if (!keep_going.value()) break;
-  }
-  cache_stats_ += cache.stats();
-  return out;
-}
-
-Status Materializer::ParallelMoleculesAsOf(
-    const MoleculeTypeDef& type, const std::vector<AtomId>& roots,
-    Timestamp t, bool skip_not_found,
-    const std::function<Result<bool>(Molecule)>& fn) const {
-  const size_t n = roots.size();
-  const size_t workers = std::min(pool_->workers(), n);
-  // One private cache per worker: caches are not thread-safe, and a
-  // shared one would serialize the very lookups we are spreading out.
-  std::vector<VersionCache> caches;
-  caches.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    caches.push_back(NewCache(Interval::At(t)));
-  }
-  // Stats of caches a worker dropped under budget pressure; each worker
-  // writes only its own slot.
-  std::vector<VersionCacheStats> dropped_stats(workers);
-  last_worker_us_.assign(workers, 0.0);
-  // `fn` runs on this thread only, overlapping with the workers.
-  Status out = StreamFanOut<Molecule>(
-      pool_, n, workers, skip_not_found, &last_worker_us_, trace_rec_,
-      ctx_ != nullptr ? ctx_->query_id() : 0,
-      [&](size_t i, size_t w) -> Result<Molecule> {
-        Status governed = CheckContext();
-        if (!governed.ok()) return governed;
-        if (lease_ != nullptr && lease_->TakePressure()) {
-          dropped_stats[w] += caches[w].stats();
-          caches[w] = NewCache(Interval::At(t));
-        }
-        return MaterializeAsOfImpl(type, roots[i], t, &caches[w]);
-      },
-      fn);
-  for (VersionCache& cache : caches) cache_stats_ += cache.stats();
-  for (const VersionCacheStats& s : dropped_stats) cache_stats_ += s;
-  return out;
+  return DrainStream(StreamAsOf(type, t), [&](RootResult* r) {
+    return fn(std::move(r->molecule));
+  });
 }
 
 Result<Materializer::ReachableSet> Materializer::DiscoverReachable(
@@ -648,84 +676,9 @@ Result<MoleculeHistory> Materializer::NaiveHistory(
 Status Materializer::AllHistories(
     const MoleculeTypeDef& type, const Interval& window,
     const std::function<Result<bool>(MoleculeHistory)>& fn) const {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* root_type,
-                        AtomTypeOf(type.root_type));
-  last_worker_us_.clear();
-  std::set<AtomId> roots;
-  size_t scanned = 0;
-  TCOB_RETURN_NOT_OK(store_->ScanVersions(
-      *root_type, window, [&](const AtomVersion& v) -> Result<bool> {
-        roots.insert(v.id);
-        if (ctx_ != nullptr && (++scanned & 63) == 0) {
-          Status governed = ctx_->Check();
-          if (!governed.ok()) return governed;
-        }
-        return true;
-      }));
-  if (UseParallel(roots.size())) {
-    // Fan the sweeps out: contiguous batches of roots (in sorted order —
-    // the order the serial loop visits them), a private cache per
-    // worker, results streamed back in root order.
-    const std::vector<AtomId> root_list(roots.begin(), roots.end());
-    const size_t n = root_list.size();
-    const size_t workers = std::min(pool_->workers(), n);
-    std::vector<VersionCache> caches;
-    caches.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) caches.push_back(NewCache(window));
-    std::vector<VersionCacheStats> dropped_stats(workers);
-    last_worker_us_.assign(workers, 0.0);
-    Status out = StreamFanOut<MoleculeHistory>(
-        pool_, n, workers, /*skip_not_found=*/false, &last_worker_us_,
-        trace_rec_, ctx_ != nullptr ? ctx_->query_id() : 0,
-        [&](size_t i, size_t w) -> Result<MoleculeHistory> {
-          Status governed = CheckContext();
-          if (!governed.ok()) return governed;
-          if (lease_ != nullptr && lease_->TakePressure()) {
-            // HistorySweep holds raw pins only within one call, so the
-            // cache may only be dropped here, between roots.
-            dropped_stats[w] += caches[w].stats();
-            caches[w] = NewCache(window);
-          }
-          return HistorySweep(type, root_list[i], window, &caches[w]);
-        },
-        [&](MoleculeHistory h) -> Result<bool> {
-          // A root alive in the window but never materializable (its
-          // states all gaps) is silent, like the serial loop.
-          if (h.states.empty()) return true;
-          return fn(std::move(h));
-        });
-    for (VersionCache& cache : caches) cache_stats_ += cache.stats();
-    for (const VersionCacheStats& s : dropped_stats) cache_stats_ += s;
-    return out;
-  }
-  // One cache across every history: molecules sharing sub-objects pin
-  // each atom once for the whole statement.
-  VersionCache cache = NewCache(window);
-  Status out = Status::OK();
-  for (AtomId root : roots) {
-    out = CheckContext();
-    if (!out.ok()) break;
-    if (lease_ != nullptr && lease_->TakePressure()) {
-      // Safe only between sweeps: HistorySweep pins raw entry pointers
-      // for the duration of one root.
-      cache_stats_ += cache.stats();
-      cache = NewCache(window);
-    }
-    Result<MoleculeHistory> h = HistorySweep(type, root, window, &cache);
-    if (!h.ok()) {
-      out = h.status();
-      break;
-    }
-    if (h.value().states.empty()) continue;
-    Result<bool> keep_going = fn(std::move(h).value());
-    if (!keep_going.ok()) {
-      out = keep_going.status();
-      break;
-    }
-    if (!keep_going.value()) break;
-  }
-  cache_stats_ += cache.stats();
-  return out;
+  return DrainStream(StreamHistories(type, window), [&](RootResult* r) {
+    return fn(std::move(r->history));
+  });
 }
 
 }  // namespace tcob

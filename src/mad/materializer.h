@@ -2,6 +2,8 @@
 #define TCOB_MAD_MATERIALIZER_H_
 
 #include <functional>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -14,6 +16,94 @@
 #include "tstore/temporal_store.h"
 
 namespace tcob {
+
+class Materializer;
+
+/// What one root step yields: the root's molecule at the stream's
+/// instant (as-of streams) or its states across the window (history
+/// streams). The other member stays empty.
+struct RootResult {
+  Molecule molecule;
+  MoleculeHistory history;
+};
+
+/// Resumable walk over one statement's roots — the single root loop
+/// behind every all-roots operator. Each Next() materializes exactly one
+/// root, so a caller pulling rows advances the query one molecule (or
+/// one history) at a time on its own thread.
+///
+/// The roots are fixed when the stream opens (an index probe, or one
+/// ScanAsOf / ScanVersions pass collecting them in scan order). Serially,
+/// one query-scoped VersionCache lives in the stream between steps, so a
+/// sub-object shared by many molecules is fetched once; governance is
+/// checked per root, and under budget pressure the cache is dropped
+/// between roots. With a ThreadPool of more than one worker and more than
+/// one root, the roots fan out interleaved — root i to worker i mod W,
+/// each worker building against a private cache into a bounded channel —
+/// and Next() pops channel i mod W, so items arrive in root order with
+/// the serial path's output and errors: a worker stops at its first real
+/// error, the others finish their roots, and the first error in root
+/// order is reported. Workers run ahead only as far as their channels
+/// allow, so buffered items stay bounded by workers x channel capacity.
+///
+/// Between Next() calls the calling thread holds no page pin or latch
+/// (the cache holds decoded copies). Destroying the stream stops and
+/// joins its workers and folds its cache stats and worker timings into
+/// the materializer (cache_stats(), last_worker_micros()). The stream
+/// must not outlive the materializer, the molecule type it was opened
+/// with, or the governance scope.
+class RootStream {
+ public:
+  ~RootStream();
+
+  RootStream(const RootStream&) = delete;
+  RootStream& operator=(const RootStream&) = delete;
+
+  /// Materializes the next root into `*out`: ok(true) = filled,
+  /// ok(false) = every root has been stepped. Roots the operator skips
+  /// (index false positives, histories with no state in the window) are
+  /// passed over within the same call. An error ends the stream; later
+  /// calls repeat it.
+  Result<bool> Next(RootResult* out);
+
+ private:
+  friend class Materializer;
+  class FanOut;
+
+  RootStream(const Materializer* mat, const MoleculeTypeDef& type,
+             std::vector<AtomId> roots, bool history, Timestamp t,
+             const Interval& window, bool skip_not_found);
+
+  /// The per-root body of the serial loop and the fan-out workers alike:
+  /// governance check, budget-pressure cache drop (its stats go to
+  /// `*dropped`), then root `i` built against `cache`.
+  Result<RootResult> BuildGoverned(size_t i, VersionCache* cache,
+                                   VersionCacheStats* dropped) const;
+
+  /// True when `r` is a root the operator passes over silently.
+  bool Skipped(const Result<RootResult>& r) const;
+
+  /// Ends the stream with `status` (draining the fan-out, so work
+  /// counters stay deterministic) and returns it.
+  Status Fail(Status status);
+
+  /// Stops the fan-out (draining it when `drain`, aborting it otherwise)
+  /// and folds stats into the materializer. Idempotent.
+  void Finish(bool drain);
+
+  const Materializer* mat_;
+  const MoleculeTypeDef& type_;
+  const std::vector<AtomId> roots_;
+  const bool history_;
+  const Timestamp t_;       // as-of instant (as-of streams)
+  const Interval window_;   // history window, or [t, t+1) for as-of
+  const bool skip_not_found_;
+  size_t next_ = 0;
+  bool finished_ = false;
+  Status error_ = Status::OK();
+  std::optional<VersionCache> cache_;  // serial path only
+  std::unique_ptr<FanOut> fanout_;
+};
 
 /// Builds molecules out of the atom and link networks — the dynamic
 /// complex-object construction at the heart of the model.
@@ -31,16 +121,8 @@ namespace tcob {
 /// O(change points x atoms) store accesses — see NaiveHistory, kept as
 /// the reference implementation).
 ///
-/// With a ThreadPool, the all-roots operators fan materialization out
-/// across workers: qualifying roots are partitioned into contiguous
-/// batches, each worker builds its batch against a private query-scoped
-/// cache (read-only store access is thread-safe) and streams its results
-/// through a bounded channel, and the consumer splices the channels in
-/// root order — output and error behavior are identical to the serial
-/// path, while the consumer overlaps with the workers instead of waiting
-/// for a barrier join (buffered results stay bounded by workers x
-/// channel capacity, independent of the root count). Without a pool the
-/// original serial code runs.
+/// The all-roots operators are RootStreams (see there), pulled one root
+/// at a time; with a ThreadPool they fan out across its workers.
 class Materializer {
  public:
   Materializer(const Catalog* catalog, const TemporalAtomStore* store,
@@ -86,20 +168,30 @@ class Materializer {
   Result<Molecule> MaterializeAsOf(const MoleculeTypeDef& type, AtomId root,
                                    Timestamp t, VersionCache* cache) const;
 
-  /// Streams every molecule of `type` valid at `t` (one per live root).
-  /// All molecules share one query-scoped cache, so sub-objects
-  /// referenced by many roots are fetched once.
+  /// Opens a stream of every molecule of `type` valid at `t` (one per
+  /// live root, in scan order). The roots are collected here; no
+  /// molecule is built before the first Next().
+  Result<std::unique_ptr<RootStream>> StreamAsOf(const MoleculeTypeDef& type,
+                                                 Timestamp t) const;
+
+  /// Opens a stream of the molecules of the given roots (in order) as of
+  /// `t`, skipping roots not valid at `t`. The executor's index path: the
+  /// candidate list comes from a secondary index, which is
+  /// version-grained and may over-approximate.
+  Result<std::unique_ptr<RootStream>> StreamAsOf(const MoleculeTypeDef& type,
+                                                 std::vector<AtomId> roots,
+                                                 Timestamp t) const;
+
+  /// Opens a stream of the histories of all molecules of `type` whose
+  /// root exists at some point in `window` (in root id order); roots
+  /// with no materializable state in the window are skipped.
+  Result<std::unique_ptr<RootStream>> StreamHistories(
+      const MoleculeTypeDef& type, const Interval& window) const;
+
+  /// Drains StreamAsOf(type, t) into `fn` until it declines.
   Status AllMoleculesAsOf(
       const MoleculeTypeDef& type, Timestamp t,
       const std::function<Result<bool>(Molecule)>& fn) const;
-
-  /// Streams the molecules of the given roots (in order) as of `t`,
-  /// skipping roots not valid at `t`. The executor's index path: the
-  /// candidate list comes from a secondary index, which is
-  /// version-grained and may over-approximate.
-  Status MoleculesAsOf(const MoleculeTypeDef& type,
-                       const std::vector<AtomId>& roots, Timestamp t,
-                       const std::function<Result<bool>(Molecule)>& fn) const;
 
   /// The piecewise-constant evolution of the molecule rooted at `root`
   /// across `window`: change points are the union of the version
@@ -129,16 +221,14 @@ class Materializer {
                                        AtomId root,
                                        const Interval& window) const;
 
-  /// Streams the histories of all molecules of `type` whose root exists
-  /// at some point in `window`. All histories share one cache.
+  /// Drains StreamHistories(type, window) into `fn` until it declines.
   Status AllHistories(
       const MoleculeTypeDef& type, const Interval& window,
       const std::function<Result<bool>(MoleculeHistory)>& fn) const;
 
   /// Cumulative stats of the caches this materializer created internally
-  /// (one per History / AllMoleculesAsOf / AllHistories call). Caches
-  /// passed in by callers are accounted by the caller (or merged in via
-  /// AccumulateCacheStats).
+  /// (one per History call or root stream). Caches passed in by callers
+  /// are accounted by the caller (or merged in via AccumulateCacheStats).
   const VersionCacheStats& cache_stats() const { return cache_stats_; }
   void ResetCacheStats() const { cache_stats_ = VersionCacheStats(); }
   void AccumulateCacheStats(const VersionCacheStats& s) const {
@@ -146,13 +236,23 @@ class Materializer {
   }
 
   /// Wall time (microseconds) each worker spent in the most recent
-  /// fan-out of an all-roots operator; empty when it ran serially.
-  /// EXPLAIN ANALYZE reports these as the per-worker span breakdown.
+  /// fan-out of a root stream (set when the stream finishes); empty when
+  /// it ran serially. EXPLAIN ANALYZE reports these as the per-worker
+  /// span breakdown.
   const std::vector<double>& last_worker_micros() const {
     return last_worker_us_;
   }
 
  private:
+  friend class RootStream;
+
+  /// Opens a stream over collected roots (see RootStream).
+  std::unique_ptr<RootStream> OpenStream(const MoleculeTypeDef& type,
+                                         std::vector<AtomId> roots,
+                                         bool history, Timestamp t,
+                                         const Interval& window,
+                                         bool skip_not_found) const;
+
   /// Atom-type lookup for every type reachable by `type`'s edges.
   Result<const AtomTypeDef*> AtomTypeOf(TypeId id) const;
 
@@ -180,17 +280,6 @@ class Materializer {
                                        AtomId root, const Interval& window,
                                        VersionCache* cache) const;
 
-  /// Fan-out shared by the as-of operators: materializes `roots` across
-  /// the pool's workers (each with a private cache, each streaming into
-  /// a bounded channel) and splices the channels back in root order,
-  /// invoking `fn` serially while the workers keep producing. NotFound
-  /// roots are skipped when `skip_not_found`, propagated otherwise —
-  /// matching the respective serial loops.
-  Status ParallelMoleculesAsOf(
-      const MoleculeTypeDef& type, const std::vector<AtomId>& roots,
-      Timestamp t, bool skip_not_found,
-      const std::function<Result<bool>(Molecule)>& fn) const;
-
   /// True when the fan-out machinery should engage for `n` roots.
   bool UseParallel(size_t n) const {
     return pool_ != nullptr && pool_->workers() > 1 && n > 1;
@@ -201,6 +290,11 @@ class Materializer {
     return ctx_ != nullptr ? ctx_->Check() : Status::OK();
   }
 
+  /// Root-collection governance: checks the context every 64 roots.
+  Status CheckEvery64(size_t collected) const {
+    return (collected & 63) == 0 ? CheckContext() : Status::OK();
+  }
+
   const Catalog* catalog_;
   const TemporalAtomStore* store_;
   const LinkStore* links_;
@@ -209,8 +303,8 @@ class Materializer {
   BudgetLease* lease_ = nullptr;
   TraceRecorder* trace_rec_ = nullptr;
   mutable VersionCacheStats cache_stats_;
-  // Each parallel task writes only its own slot, so no synchronization
-  // is needed beyond the pool's batch-completion join.
+  // Written by a root stream on the consuming thread, after its workers
+  // have been joined.
   mutable std::vector<double> last_worker_us_;
 };
 

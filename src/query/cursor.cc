@@ -1,6 +1,6 @@
 #include "query/cursor.h"
 
-#include <optional>
+#include <algorithm>
 #include <utility>
 
 namespace tcob {
@@ -43,159 +43,78 @@ uint64_t EstimateBatchBytes(const std::vector<std::vector<Value>>& rows) {
 
 }  // namespace
 
-/// Batches streamed rows into queue items weighted by their row count,
-/// so the queue's capacity (and peak) is counted in rows.
-class StreamingCursor::QueueSink : public RowSink {
- public:
-  QueueSink(BoundedQueue<QueueItem>* queue, size_t batch_rows,
-            BudgetLease* lease)
-      : queue_(queue),
-        batch_rows_(batch_rows == 0 ? 1 : batch_rows),
-        lease_(lease) {}
-
-  Result<bool> Push(std::vector<Value> row) override {
-    batch_.push_back(std::move(row));
-    if (batch_.size() < batch_rows_) return true;
-    return Flush();
-  }
-
-  /// Hands the partial batch to the queue; false once the consumer left.
-  bool Flush() {
-    if (batch_.empty()) return true;
-    QueueItem item;
-    item.bytes = EstimateBatchBytes(batch_);
-    if (lease_ != nullptr) item.charged = lease_->Charge(item.bytes);
-    const size_t weight = batch_.size();
-    const uint64_t bytes = item.bytes;
-    const bool charged = item.charged;
-    item.rows = std::move(batch_);
-    batch_ = RowBatch();
-    bool accepted = queue_->Push(std::move(item), weight);
-    if (!accepted && lease_ != nullptr) {
-      // Consumer left: the queue dropped the item, undo its charge.
-      lease_->Release(charged ? bytes : 0, charged ? 0 : bytes);
-    }
-    return accepted;
-  }
-
- private:
-  BoundedQueue<QueueItem>* queue_;
-  const size_t batch_rows_;
-  BudgetLease* lease_;
-  RowBatch batch_;
-};
-
 StreamingCursor::StreamingCursor(std::vector<std::string> columns,
-                                 std::string message, ProducerFn producer,
+                                 std::string message, StepFn step,
                                  FinalizeFn finalize,
                                  std::function<void()> on_first_row,
                                  Options options)
     : columns_(std::move(columns)),
       message_(std::move(message)),
-      options_(options),
-      queue_(options_.queue_capacity_rows, /*producers=*/1),
+      options_(std::move(options)),
+      step_(std::move(step)),
       finalize_(std::move(finalize)),
-      on_first_row_(std::move(on_first_row)) {
-  producer_thread_ = std::thread([this, producer = std::move(producer)] {
-    QueueSink sink(&queue_, options_.batch_rows, options_.lease);
-    Status status = producer(&sink);
-    if (status.ok()) sink.Flush();  // the tail partial batch
-    queue_.CloseProducer(std::move(status));
-  });
-}
-
-StreamingCursor::StreamingCursor(std::vector<std::string> columns,
-                                 std::string message, ProducerFn producer,
-                                 FinalizeFn finalize,
-                                 std::function<void()> on_first_row)
-    : StreamingCursor(std::move(columns), std::move(message),
-                      std::move(producer), std::move(finalize),
-                      std::move(on_first_row), Options()) {}
+      on_first_row_(std::move(on_first_row)) {}
 
 StreamingCursor::~StreamingCursor() { Close(); }
 
 Result<bool> StreamingCursor::Next(std::vector<Value>* row) {
   if (cancelled_.load(std::memory_order_acquire) && !end_) {
-    // Cancel() already closed the consumer side, so the producer exits
-    // at its next push or context check; join it and report.
-    end_ = true;
+    End(Status::Cancelled("query cancelled"));
+  }
+  while (!end_ && buffer_next_ >= buffer_.size()) {
     ReleaseBuffer();
-    Finish();
-    if (final_status_.ok()) {
-      final_status_ = Status::Cancelled("query cancelled");
+    Result<bool> more = step_(&buffer_);
+    if (!more.ok()) {
+      End(more.status());
+    } else if (!more.value()) {
+      End(Status::OK());
+    } else {
+      buffer_bytes_ = EstimateBatchBytes(buffer_);
+      if (options_.lease != nullptr) {
+        buffer_charged_ = options_.lease->Charge(buffer_bytes_);
+      }
+      peak_buffered_rows_ =
+          std::max<uint64_t>(peak_buffered_rows_, buffer_.size());
     }
-    return final_status_;
   }
   if (end_) {
     if (!final_status_.ok()) return final_status_;
     return false;
   }
-  if (buffer_next_ >= buffer_.size()) {
-    buffer_.clear();
-    ReleaseBuffer();
-    buffer_next_ = 0;
-    std::optional<QueueItem> batch = queue_.Pop();
-    if (!batch.has_value()) {
-      // End of stream: the producer has closed — join it and settle the
-      // final status before reporting.
-      end_ = true;
-      Finish();
-      if (!final_status_.ok()) return final_status_;
-      return false;
-    }
-    buffer_ = std::move(batch->rows);
-    buffer_bytes_ = batch->bytes;
-    buffer_charged_ = batch->charged;
-  }
   *row = std::move(buffer_[buffer_next_++]);
   ++rows_delivered_;
-  if (!saw_first_row_) {
-    saw_first_row_ = true;
-    if (on_first_row_) on_first_row_();
-  }
+  if (rows_delivered_ == 1 && on_first_row_) on_first_row_();
   return true;
 }
 
 void StreamingCursor::Close() {
   if (closed_) return;
   closed_ = true;
-  if (!end_) {
-    // Abandoning mid-stream: unblock the producer, whose next Push
-    // returns false and stops the query cleanly.
-    queue_.CloseConsumer();
-    end_ = true;
-  }
-  ReleaseBuffer();
-  Finish();
+  if (!end_) End(Status::OK());  // abandoned mid-stream: a clean stop
 }
 
 void StreamingCursor::Cancel() {
   cancelled_.store(true, std::memory_order_release);
   if (options_.context != nullptr) options_.context->Cancel();
-  // Unblocks a producer stalled on backpressure; its next Push returns
-  // false. The consumer is woken by the producer's CloseProducer.
-  queue_.CloseConsumer();
 }
 
-void StreamingCursor::Finish() {
-  if (producer_thread_.joinable()) producer_thread_.join();
-  if (finalized_) return;
-  finalized_ = true;
-  final_status_ = queue_.producer_status();
+void StreamingCursor::End(Status status) {
+  end_ = true;
+  ReleaseBuffer();
+  final_status_ = std::move(status);
   StreamingCursorStats stats;
   stats.rows_streamed = rows_delivered_;
-  stats.peak_buffered_rows = queue_.peak_weight();
+  stats.peak_buffered_rows = peak_buffered_rows_;
   if (finalize_) finalize_(final_status_, stats);
 }
 
 void StreamingCursor::ReleaseBuffer() {
-  // Batches still queued (abandon path) are not individually released —
-  // the lease's destructor returns everything it still holds.
-  if (buffer_bytes_ == 0) return;
-  if (options_.lease != nullptr) {
+  if (options_.lease != nullptr && buffer_bytes_ > 0) {
     options_.lease->Release(buffer_charged_ ? buffer_bytes_ : 0,
                             buffer_charged_ ? 0 : buffer_bytes_);
   }
+  buffer_.clear();
+  buffer_next_ = 0;
   buffer_bytes_ = 0;
   buffer_charged_ = false;
 }

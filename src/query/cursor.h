@@ -5,10 +5,8 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/bounded_queue.h"
 #include "common/cancellation.h"
 #include "common/resource_budget.h"
 #include "common/result.h"
@@ -21,11 +19,12 @@ namespace tcob {
 ///
 /// Obtained from Database::Query (which is "Open"); the caller pulls
 /// rows with Next/NextBatch and releases the stream with Close. For
-/// streamable SELECTs the rows are produced while the caller consumes —
+/// streamable SELECTs the pulls drive the query: a pull that finds no
+/// buffered row advances it by one root on the caller's thread, so
 /// first-row latency and buffered memory are independent of the result
-/// size — and arrive in exactly the order the materialized API returns
-/// them. Aggregates and ORDER BY (pipeline breakers) yield a cursor over
-/// the pre-computed result instead.
+/// size, and rows arrive in exactly the order the materialized API
+/// returns them. Aggregates and ORDER BY (pipeline breakers) yield a
+/// cursor over the pre-computed result instead.
 ///
 /// Lifecycle rules (single-threaded per Database, like every other
 /// call): drain or Close the cursor before executing the next statement
@@ -50,8 +49,8 @@ class Cursor {
   virtual Result<size_t> NextBatch(size_t max_rows,
                                    std::vector<std::vector<Value>>* rows);
 
-  /// Releases the stream (stopping production if still running).
-  /// Idempotent; also run by the destructor.
+  /// Releases the stream, ending the query where it stands. Idempotent;
+  /// also run by the destructor.
   virtual void Close() = 0;
 
   /// Requests cancellation of the query behind this cursor. Unlike every
@@ -88,57 +87,49 @@ class MaterializedCursor : public Cursor {
 struct StreamingCursorStats {
   /// Rows handed to the consumer.
   uint64_t rows_streamed = 0;
-  /// High-water mark of rows buffered in the queue — the engine-level
-  /// proof that streaming memory stays flat in the result size.
+  /// Most rows one step ever buffered (one root's rows) — the
+  /// engine-level proof that streaming memory stays flat in the result
+  /// size.
   uint64_t peak_buffered_rows = 0;
 };
 
-/// Cursor fed by a dedicated producer thread.
+/// Cursor that advances its query on the caller's thread.
 ///
-/// The producer runs the streaming executor, pushing row batches into a
-/// bounded queue whose backpressure keeps it at most `queue_capacity_
-/// rows` ahead of the consumer. A dedicated thread — never a pool worker
-/// — because the executor may itself fan out onto the pool: a producer
-/// occupying a pool slot could starve its own fan-out tasks (with a
-/// one-worker pool it would deadlock outright).
+/// No thread is started: whenever the buffer is empty, Next() runs one
+/// step of the query — the next root's molecule or history, rendered
+/// into rows — and then serves those rows. First-row latency is one
+/// root's materialization, and the buffer never holds more than one
+/// root's rows. At parallelism > 1 a step pops the fan-out workers'
+/// channels in root order instead of building the root itself.
 class StreamingCursor : public Cursor {
  public:
   struct Options {
-    /// Backpressure bound: the queue never holds more rows than this
-    /// (one oversized batch excepted).
-    size_t queue_capacity_rows = 1024;
-    /// Rows per queue item; amortizes queue synchronization.
-    size_t batch_rows = 64;
-    /// The query's cancellation scope; Cancel() forwards into it so the
-    /// producer's executor unwinds too. May be null.
+    /// The query's cancellation scope; Cancel() forwards into it so a
+    /// step in progress unwinds too. May be null.
     std::shared_ptr<QueryContext> context;
-    /// Memory lease to charge buffered batches against (must outlive the
+    /// Memory lease to charge buffered rows against (must outlive the
     /// cursor). May be null.
     BudgetLease* lease = nullptr;
   };
 
-  /// Runs the query, pushing every result row into the sink; returning
-  /// after the sink declines a row is a clean stop, not an error.
-  using ProducerFn = std::function<Status(RowSink*)>;
-  /// Runs exactly once, after the producer thread has been joined (at
-  /// end-of-stream, on a stream error, or at Close) — the hook where the
-  /// Database stamps the query trace and metrics.
+  /// Advances the query by one root, appending its rows (possibly none)
+  /// to the buffer; false = every root has been stepped.
+  using StepFn = std::function<Result<bool>(RowBuffer* rows)>;
+  /// Runs exactly once, when the stream ends (end of stream, a stream
+  /// error, cancellation, or Close) — the hook where the Database ends
+  /// the execution and stamps the query trace and metrics.
   using FinalizeFn =
       std::function<void(const Status&, const StreamingCursorStats&)>;
 
-  /// Starts the producer thread. `on_first_row` (may be null) fires when
-  /// the first row is handed to the consumer — the first-row latency
-  /// probe.
+  /// Runs no step yet. `on_first_row` (may be null) fires when the first
+  /// row is handed to the consumer — the first-row latency probe.
   StreamingCursor(std::vector<std::string> columns, std::string message,
-                  ProducerFn producer, FinalizeFn finalize,
+                  StepFn step, FinalizeFn finalize,
                   std::function<void()> on_first_row, Options options);
-  /// Same, with default Options (an overload rather than a default
-  /// argument: a nested struct's member initializers are not usable in a
-  /// default argument inside the enclosing class).
-  StreamingCursor(std::vector<std::string> columns, std::string message,
-                  ProducerFn producer, FinalizeFn finalize,
-                  std::function<void()> on_first_row);
   ~StreamingCursor() override;
+
+  StreamingCursor(const StreamingCursor&) = delete;
+  StreamingCursor& operator=(const StreamingCursor&) = delete;
 
   const std::vector<std::string>& columns() const override {
     return columns_;
@@ -146,46 +137,32 @@ class StreamingCursor : public Cursor {
   const std::string& message() const override { return message_; }
   Result<bool> Next(std::vector<Value>* row) override;
   void Close() override;
-  /// Thread-safe: cancels the context (unwinding the producer at its
-  /// next batch boundary) and closes the consumer side of the queue
-  /// (unblocking a producer stalled on backpressure). The next pull
-  /// returns Status::Cancelled.
+  /// Thread-safe: touches only an atomic flag and the query context, so
+  /// a step in progress unwinds at its next governance check. The next
+  /// pull returns Status::Cancelled.
   void Cancel() override;
 
  private:
-  class QueueSink;
-  using RowBatch = std::vector<std::vector<Value>>;
-  /// One queue entry: a row batch plus its budget accounting, carried
-  /// alongside so the consumer can release exactly what the producer
-  /// charged (the queue is FIFO, so they pair up naturally).
-  struct QueueItem {
-    RowBatch rows;
-    uint64_t bytes = 0;
-    bool charged = false;
-  };
-
-  /// Joins the producer and runs the finalize hook (once).
-  void Finish();
-  /// Returns the served buffer's bytes to the lease.
+  /// Ends the stream with `status` and runs the finalize hook.
+  void End(Status status);
+  /// Drops the served buffer and returns its bytes to the lease.
   void ReleaseBuffer();
 
   const std::vector<std::string> columns_;
   const std::string message_;
   const Options options_;
-  BoundedQueue<QueueItem> queue_;
-  std::thread producer_thread_;
+  StepFn step_;
   FinalizeFn finalize_;
   std::function<void()> on_first_row_;
 
-  RowBatch buffer_;  // popped batch currently being served
+  RowBuffer buffer_;  // the current step's rows
   uint64_t buffer_bytes_ = 0;
   bool buffer_charged_ = false;
   size_t buffer_next_ = 0;
   uint64_t rows_delivered_ = 0;
-  bool saw_first_row_ = false;
-  bool end_ = false;       // no more rows will be served
-  bool closed_ = false;    // Close() ran
-  bool finalized_ = false;
+  uint64_t peak_buffered_rows_ = 0;
+  bool end_ = false;     // no more rows will be served
+  bool closed_ = false;  // Close() ran
   std::atomic<bool> cancelled_{false};
   Status final_status_ = Status::OK();  // sticky stream error
 };

@@ -17,11 +17,16 @@ Result<std::string> SelectExecutor::RenderAttrs(const AtomVersion& v) const {
   return out;
 }
 
-Result<bool> SelectExecutor::EmitMolecule(const SelectStmt& stmt,
-                                          const SelectPlan& plan,
-                                          const Molecule& molecule,
-                                          const Interval* state_valid,
-                                          RowSink* sink) const {
+Status SelectExecutor::EmitMolecule(const SelectStmt& stmt,
+                                    const SelectPlan& plan,
+                                    const Molecule& molecule,
+                                    const Interval* state_valid,
+                                    RowBuffer* rows) const {
+  if (ctx_ != nullptr) TCOB_RETURN_NOT_OK(ctx_->Check());
+  if (trace_ != nullptr) {
+    ++(state_valid == nullptr ? trace_->molecules : trace_->states);
+    trace_->atoms_visited += molecule.atoms.size();
+  }
   ExprEvaluator eval(catalog_, now_);
 
   auto push_state_columns = [&](std::vector<Value>* row) {
@@ -34,7 +39,7 @@ Result<bool> SelectExecutor::EmitMolecule(const SelectStmt& stmt,
   if (plan.select_all) {
     if (stmt.where != nullptr) {
       TCOB_ASSIGN_OR_RETURN(bool ok, eval.Satisfies(*stmt.where, molecule));
-      if (!ok) return true;
+      if (!ok) return Status::OK();
     }
     for (const auto& [id, version] : molecule.atoms) {
       TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* def,
@@ -46,10 +51,9 @@ Result<bool> SelectExecutor::EmitMolecule(const SelectStmt& stmt,
       row.push_back(Value::String(def->name));
       TCOB_ASSIGN_OR_RETURN(std::string attrs, RenderAttrs(version));
       row.push_back(Value::String(std::move(attrs)));
-      TCOB_ASSIGN_OR_RETURN(bool more, sink->Push(std::move(row)));
-      if (!more) return false;
+      rows->push_back(std::move(row));
     }
-    return true;
+    return Status::OK();
   }
 
   // Projection: enumerate bindings over projected + predicate types.
@@ -90,10 +94,9 @@ Result<bool> SelectExecutor::EmitMolecule(const SelectStmt& stmt,
       fingerprint.push_back(std::to_string(it->second->id));
     }
     if (!seen.insert(fingerprint).second) continue;
-    TCOB_ASSIGN_OR_RETURN(bool more, sink->Push(std::move(row)));
-    if (!more) return false;
+    rows->push_back(std::move(row));
   }
-  return true;
+  return Status::OK();
 }
 
 namespace {
@@ -299,19 +302,6 @@ Status ApplyOrderBy(const SelectStmt& stmt, ResultSet* out) {
   return sort_error;
 }
 
-/// Collects streamed rows into a ResultSet — the materialized surface.
-class CollectingSink : public RowSink {
- public:
-  explicit CollectingSink(ResultSet* out) : out_(out) {}
-  Result<bool> Push(std::vector<Value> row) override {
-    out_->rows.push_back(std::move(row));
-    return true;
-  }
-
- private:
-  ResultSet* out_;
-};
-
 }  // namespace
 
 Result<SelectPlan> SelectExecutor::Plan(const SelectStmt& stmt) const {
@@ -370,95 +360,110 @@ Result<SelectPlan> SelectExecutor::Plan(const SelectStmt& stmt) const {
       trace_->plan = "seq scan of root versions, incremental history sweep";
     }
   }
-  if (trace_ != nullptr) trace_->plan_us += plan_timer.ElapsedUs();
+  if (trace_ != nullptr) {
+    const double plan_us = plan_timer.ElapsedUs();
+    trace_->plan_us += plan_us;
+    trace_->execute_us += plan_us;
+  }
   return plan;
 }
 
-Status SelectExecutor::Run(const SelectStmt& stmt, const SelectPlan& plan,
-                           RowSink* sink) const {
-  // Traced wrapper around EmitMolecule: accumulates emit_us and the
-  // molecule/state/atom work counters. `state_valid` null = as-of row
-  // shape, non-null = one constant state of a history.
-  auto emit = [&](const Molecule& mol,
-                  const Interval* state_valid) -> Result<bool> {
-    if (ctx_ != nullptr) {
-      Status governed = ctx_->Check();
-      if (!governed.ok()) return governed;
-    }
-    if (trace_ == nullptr) {
-      return EmitMolecule(stmt, plan, mol, state_valid, sink);
-    }
-    if (state_valid == nullptr) {
-      ++trace_->molecules;
-    } else {
-      ++trace_->states;
-    }
-    trace_->atoms_visited += mol.atoms.size();
-    StopwatchUs emit_timer;
-    Result<bool> more = EmitMolecule(stmt, plan, mol, state_valid, sink);
-    trace_->emit_us += emit_timer.ElapsedUs();
-    return more;
-  };
-
-  if (stmt.mode == TemporalMode::kAsOf) {
-    Timestamp t = stmt.at_now ? now_ : stmt.at;
-    StopwatchUs mat_timer;
-    if (plan.path.use_index && indexes_ != nullptr) {
-      TCOB_ASSIGN_OR_RETURN(const AttrIndexDef* index,
-                            catalog_->GetAttrIndex(plan.path.index));
-      TCOB_ASSIGN_OR_RETURN(std::vector<AtomId> roots,
-                            indexes_->LookupAsOf(*index, plan.path.range, t));
-      // MoleculesAsOf routes the roots through a query-scoped cache (and
-      // the thread pool, when the materializer has one); roots not valid
-      // at t are skipped — the index is version-grained, so a listed
-      // root should be valid, but stay defensive.
-      TCOB_RETURN_NOT_OK(materializer_->MoleculesAsOf(
-          plan.resolved, roots, t,
-          [&](Molecule mol) -> Result<bool> { return emit(mol, nullptr); }));
-    } else {
-      TCOB_RETURN_NOT_OK(materializer_->AllMoleculesAsOf(
-          plan.resolved, t,
-          [&](Molecule mol) -> Result<bool> { return emit(mol, nullptr); }));
-    }
-    if (trace_ != nullptr) {
-      // Emit ran inside the materializer's streaming loop: subtract it
-      // out so the two spans partition the loop's wall time.
-      trace_->materialize_us += mat_timer.ElapsedUs() - trace_->emit_us;
-    }
-    return Status::OK();
+Result<std::unique_ptr<RootStream>> SelectExecutor::OpenStream(
+    const SelectStmt& stmt, const SelectPlan& plan) const {
+  if (plan.windowed) {
+    return materializer_->StreamHistories(plan.resolved, plan.window);
   }
+  Timestamp t = stmt.at_now ? now_ : stmt.at;
+  if (plan.path.use_index && indexes_ != nullptr) {
+    TCOB_ASSIGN_OR_RETURN(const AttrIndexDef* index,
+                          catalog_->GetAttrIndex(plan.path.index));
+    TCOB_ASSIGN_OR_RETURN(std::vector<AtomId> roots,
+                          indexes_->LookupAsOf(*index, plan.path.range, t));
+    // The index is version-grained, so a listed root should be valid at
+    // t, but the stream stays defensive and skips roots that are not.
+    return materializer_->StreamAsOf(plan.resolved, std::move(roots), t);
+  }
+  return materializer_->StreamAsOf(plan.resolved, t);
+}
 
-  StopwatchUs mat_timer;
-  TCOB_RETURN_NOT_OK(materializer_->AllHistories(
-      plan.resolved, plan.window,
-      [&](MoleculeHistory history) -> Result<bool> {
-        if (trace_ != nullptr) ++trace_->molecules;
-        for (const MoleculeState& state : history.states) {
-          Interval clipped = state.valid.Intersect(plan.window);
-          if (clipped.empty()) continue;
-          TCOB_ASSIGN_OR_RETURN(bool more, emit(state.molecule, &clipped));
-          if (!more) return false;
-        }
-        return true;
-      }));
-  if (trace_ != nullptr) {
-    trace_->materialize_us += mat_timer.ElapsedUs() - trace_->emit_us;
+Status SelectExecutor::EmitRoot(const SelectStmt& stmt, const SelectPlan& plan,
+                                const RootResult& root,
+                                RowBuffer* rows) const {
+  if (!plan.windowed) {
+    return EmitMolecule(stmt, plan, root.molecule, nullptr, rows);
+  }
+  if (trace_ != nullptr) ++trace_->molecules;
+  for (const MoleculeState& state : root.history.states) {
+    Interval clipped = state.valid.Intersect(plan.window);
+    if (clipped.empty()) continue;
+    TCOB_RETURN_NOT_OK(
+        EmitMolecule(stmt, plan, state.molecule, &clipped, rows));
   }
   return Status::OK();
 }
 
+Result<bool> SelectExecutor::Step(const SelectStmt& stmt,
+                                  const SelectPlan& plan,
+                                  std::unique_ptr<RootStream>* stream,
+                                  RowBuffer* rows) const {
+  StopwatchUs step_timer;
+  RootResult root;
+  Result<bool> more = true;
+  if (*stream == nullptr) {
+    Result<std::unique_ptr<RootStream>> opened = OpenStream(stmt, plan);
+    if (opened.ok()) {
+      *stream = std::move(opened).value();
+    } else {
+      more = opened.status();
+    }
+  }
+  if (more.ok()) more = (*stream)->Next(&root);
+  const double materialize_us = step_timer.ElapsedUs();
+  if (more.ok() && more.value()) {
+    Status emitted = EmitRoot(stmt, plan, root, rows);
+    if (!emitted.ok()) more = emitted;
+  }
+  if (trace_ != nullptr) {
+    const double step_us = step_timer.ElapsedUs();
+    trace_->materialize_us += materialize_us;
+    trace_->emit_us += step_us - materialize_us;
+    trace_->execute_us += step_us;
+  }
+  return more;
+}
+
+void SelectExecutor::Finish(const SelectStmt& stmt,
+                            std::unique_ptr<RootStream>* stream) const {
+  stream->reset();  // joins fan-out workers, folds their stats
+  if (trace_ == nullptr) return;
+  trace_->temporal_mode = stmt.mode == TemporalMode::kAsOf
+                              ? "as-of"
+                              : (stmt.mode == TemporalMode::kWindow
+                                     ? "window"
+                                     : "history");
+  trace_->cache = materializer_->cache_stats();
+  trace_->worker_us = materializer_->last_worker_micros();
+  trace_->parallelism =
+      trace_->worker_us.empty() ? 1 : trace_->worker_us.size();
+}
+
 Result<ResultSet> SelectExecutor::Execute(const SelectStmt& stmt) const {
-  StopwatchUs exec_timer;
   TCOB_ASSIGN_OR_RETURN(SelectPlan plan, Plan(stmt));
   ResultSet out;
   out.columns = plan.columns;
   out.message = plan.message;
-  CollectingSink sink(&out);
   {
     TraceSpanScope span(rec_, TraceSpanId::kExecute);
-    TCOB_RETURN_NOT_OK(Run(stmt, plan, &sink));
+    std::unique_ptr<RootStream> stream;
+    Result<bool> more = true;
+    while (more.ok() && more.value()) {
+      more = Step(stmt, plan, &stream, &out.rows);
+    }
+    Finish(stmt, &stream);
+    TCOB_RETURN_NOT_OK(more.status());
   }
 
+  StopwatchUs breaker_timer;
   if (plan.aggregate) {
     TraceSpanScope span(rec_, TraceSpanId::kAggregate);
     StopwatchUs agg_timer;
@@ -473,41 +478,10 @@ Result<ResultSet> SelectExecutor::Execute(const SelectStmt& stmt) const {
   }
   if (trace_ != nullptr) {
     trace_->sort_us += sort_timer.ElapsedUs();
+    trace_->execute_us += breaker_timer.ElapsedUs();
     trace_->rows = out.rows.size();
-    trace_->execute_us = exec_timer.ElapsedUs();
-    trace_->temporal_mode = stmt.mode == TemporalMode::kAsOf
-                                ? "as-of"
-                                : (stmt.mode == TemporalMode::kWindow
-                                       ? "window"
-                                       : "history");
-    trace_->cache = materializer_->cache_stats();
-    trace_->worker_us = materializer_->last_worker_micros();
-    trace_->parallelism =
-        trace_->worker_us.empty() ? 1 : trace_->worker_us.size();
   }
   return out;
-}
-
-Status SelectExecutor::ExecuteStreaming(const SelectStmt& stmt,
-                                        const SelectPlan& plan,
-                                        RowSink* sink) const {
-  TraceSpanScope span(rec_, TraceSpanId::kStream);
-  StopwatchUs exec_timer;
-  Status st = Run(stmt, plan, sink);
-  if (trace_ != nullptr) {
-    // Plan() ran earlier (at cursor open); execute_us spans both halves.
-    trace_->execute_us = trace_->plan_us + exec_timer.ElapsedUs();
-    trace_->temporal_mode = stmt.mode == TemporalMode::kAsOf
-                                ? "as-of"
-                                : (stmt.mode == TemporalMode::kWindow
-                                       ? "window"
-                                       : "history");
-    trace_->cache = materializer_->cache_stats();
-    trace_->worker_us = materializer_->last_worker_micros();
-    trace_->parallelism =
-        trace_->worker_us.empty() ? 1 : trace_->worker_us.size();
-  }
-  return st;
 }
 
 }  // namespace tcob

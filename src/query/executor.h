@@ -1,6 +1,7 @@
 #ifndef TCOB_QUERY_EXECUTOR_H_
 #define TCOB_QUERY_EXECUTOR_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,16 +17,8 @@
 
 namespace tcob {
 
-/// Destination of streamed result rows. The executor produces rows one
-/// at a time into a sink; the materialized path collects them into a
-/// ResultSet, the cursor path hands them to a bounded queue.
-class RowSink {
- public:
-  virtual ~RowSink() = default;
-  /// Accepts one row. Returning false stops the query cleanly (the
-  /// consumer has seen enough — a closed cursor); it is not an error.
-  virtual Result<bool> Push(std::vector<Value> row) = 0;
-};
+/// Result rows as the executor produces them.
+using RowBuffer = std::vector<std::vector<Value>>;
 
 /// Everything about a SELECT that is resolvable before the first row:
 /// the molecule type, temporal window, root access path, and the result
@@ -65,11 +58,13 @@ struct SelectPlan {
 ///    constant states overlapping the window; the WHERE predicate is
 ///    evaluated per state.
 ///
-/// Two execution surfaces share one pipeline: Execute materializes the
-/// full ResultSet (and is the only path for aggregates and ORDER BY,
-/// which must see every row), while Plan + ExecuteStreaming push rows
-/// into a RowSink as they are produced — the cursor path, whose rows are
-/// byte-identical to Execute's for every streamable statement.
+/// Execution is stepped: Plan, then Step once per root — each step
+/// materializes the next root's molecule (VALID AT) or history (VALID IN
+/// / HISTORY) and renders its rows — then Finish. The cursor runs one
+/// step whenever its caller needs rows; Execute steps until done and is
+/// the only path for aggregates and ORDER BY, which must see every row.
+/// Both surfaces share this one pipeline, so their rows are
+/// byte-identical for every streamable statement.
 class SelectExecutor {
  public:
   /// `indexes` may be null (no secondary-index access paths then).
@@ -93,11 +88,22 @@ class SelectExecutor {
   /// everything that can fail or be reported before rows flow.
   Result<SelectPlan> Plan(const SelectStmt& stmt) const;
 
-  /// Streams the rows of a streamable statement (CanStream) into `sink`,
-  /// in exactly the order Execute would return them. A sink that returns
-  /// false stops execution early with OK status.
-  Status ExecuteStreaming(const SelectStmt& stmt, const SelectPlan& plan,
-                          RowSink* sink) const;
+  /// Advances a planned statement by one root, appending that root's
+  /// rows (possibly none: its predicate may reject them) to `*rows` in
+  /// exactly the order Execute returns them. The first call opens
+  /// `*stream` (an index probe or a root scan). Returns false, appending
+  /// nothing, once every root has been stepped. Only in-step time is
+  /// charged to the trace's execute/materialize/emit spans.
+  Result<bool> Step(const SelectStmt& stmt, const SelectPlan& plan,
+                    std::unique_ptr<RootStream>* stream,
+                    RowBuffer* rows) const;
+
+  /// Ends a stepped execution — after the last step, after an error, or
+  /// early: stops the stream's fan-out workers, releases its cache, and
+  /// stamps the trace's statement-wide fields (mode, cache stats, worker
+  /// timings). Idempotent.
+  void Finish(const SelectStmt& stmt,
+              std::unique_ptr<RootStream>* stream) const;
 
   /// EXPLAIN: reports the access path and temporal mode without
   /// executing.
@@ -108,8 +114,8 @@ class SelectExecutor {
   /// materializer's accumulated numbers, so callers wanting per-query
   /// attribution pass a freshly constructed (or reset) materializer.
   /// Null (the default) disables tracing; the fast path then pays only a
-  /// pointer test per span. A streaming execution writes the trace from
-  /// the producing thread; readers must synchronize with its completion.
+  /// pointer test per span. Every step runs on the caller's thread, so
+  /// the trace is complete once Finish returns.
   void set_trace(QueryStats* trace) { trace_ = trace; }
 
   /// Attaches the query's cancellation scope: the row pipeline checks it
@@ -124,17 +130,21 @@ class SelectExecutor {
   void set_recorder(TraceRecorder* rec) { rec_ = rec; }
 
  private:
-  /// Shared pipeline of both surfaces: drives the materializer operators
-  /// and emits rows into `sink`. Fills the trace's plan/materialize/emit
-  /// spans and work counters.
-  Status Run(const SelectStmt& stmt, const SelectPlan& plan,
-             RowSink* sink) const;
+  /// Opens the statement's root stream: the index probe or root scan.
+  Result<std::unique_ptr<RootStream>> OpenStream(const SelectStmt& stmt,
+                                                 const SelectPlan& plan) const;
 
-  /// Emits the rows of one molecule state into `sink`; false = the sink
-  /// has stopped the query.
-  Result<bool> EmitMolecule(const SelectStmt& stmt, const SelectPlan& plan,
-                            const Molecule& molecule,
-                            const Interval* state_valid, RowSink* sink) const;
+  /// Renders one root's molecule (as-of) or its window-clipped states
+  /// into `*rows`, counting the trace's work counters.
+  Status EmitRoot(const SelectStmt& stmt, const SelectPlan& plan,
+                  const RootResult& root, RowBuffer* rows) const;
+
+  /// Renders one molecule state into `*rows` after the per-state
+  /// governance check. `state_valid` null = as-of row shape, non-null =
+  /// one constant state of a history.
+  Status EmitMolecule(const SelectStmt& stmt, const SelectPlan& plan,
+                      const Molecule& molecule, const Interval* state_valid,
+                      RowBuffer* rows) const;
 
   /// Folds the hidden-projection rows of an aggregate query into the
   /// single result row.

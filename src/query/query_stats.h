@@ -36,9 +36,10 @@ struct QueryStats {
   /// How the query ended: "ok" | "cancelled" | "deadline-exceeded" |
   /// "error".
   std::string disposition = "ok";
-  /// Which execution surface produced the rows: "streaming" when a
-  /// cursor pulled them through the bounded queue, "materialized" when
-  /// the result was built eagerly (pipeline breakers, Execute).
+  /// Which execution surface produced the rows: "streaming" when cursor
+  /// pulls stepped the query root by root (Execute drains such a
+  /// cursor), "materialized" when the result was built eagerly at open
+  /// (pipeline breakers).
   std::string surface = "materialized";
 
   double parse_us = 0;
@@ -59,8 +60,8 @@ struct QueryStats {
   uint64_t rows = 0;           // result rows produced
   uint64_t atoms_visited = 0;  // atom instances across all emitted states
   uint64_t rows_streamed = 0;  // rows handed to the consumer
-  /// High-water mark of rows buffered between producer and consumer
-  /// (streaming: the cursor queue's peak; materialized: the full result).
+  /// High-water mark of rows buffered for the consumer (streaming: the
+  /// most rows one root produced; materialized: the full result).
   uint64_t peak_buffered_rows = 0;
 
   /// Store round-trips this query caused (counter delta).

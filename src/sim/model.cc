@@ -451,8 +451,8 @@ SimModel::QueryExpectation SimModel::ExpectedRows(const SimOp& q) const {
           Materialize(q.mol_pos, root, t, &missing, &uncertain);
       if (missing) {
         // Full scan: the NotFound from the zero-version partner fails
-        // the whole statement. Index path: MoleculesAsOf treats NotFound
-        // as an index false positive and silently drops the root.
+        // the whole statement. Index path: the root stream treats
+        // NotFound as an index false positive and silently drops the root.
         if (!index_plan) statement_fails = true;
         continue;
       }

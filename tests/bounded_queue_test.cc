@@ -1,7 +1,8 @@
-// BoundedQueue: the MPSC channel under the streaming cursor and the
-// parallel fan-out. The tests pin the contract the cursors rely on:
-// backpressure actually blocks, producer errors surface exactly once at
-// end of stream, and a departed consumer unblocks producers promptly.
+// BoundedQueue: the MPSC channel between the materializer's fan-out
+// workers and the thread consuming their roots. The tests pin the
+// contract the fan-out relies on: backpressure actually blocks, producer
+// errors surface exactly once at end of stream, and a departed consumer
+// unblocks producers promptly.
 
 #include "common/bounded_queue.h"
 
@@ -9,7 +10,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,16 +50,6 @@ TEST(BoundedQueueTest, CapacityOneBlocksProducerUntilConsumed) {
   EXPECT_FALSE(q.Pop().has_value());
   producer.join();
   EXPECT_EQ(pushed.load(), 3);
-}
-
-TEST(BoundedQueueTest, OversizedItemAdmittedIntoEmptyQueue) {
-  BoundedQueue<std::string> q(/*capacity=*/4);
-  // Weight exceeds capacity: must be admitted (into the empty queue)
-  // rather than deadlocking the producer forever.
-  EXPECT_TRUE(q.Push("big", /*weight=*/64));
-  q.CloseProducer();
-  EXPECT_EQ(q.Pop(), std::optional<std::string>("big"));
-  EXPECT_EQ(q.peak_weight(), 64u);
 }
 
 TEST(BoundedQueueTest, ProducerErrorSurfacesAfterDrain) {
@@ -130,7 +120,6 @@ TEST(BoundedQueueTest, StressManyProducersOneConsumer) {
   for (std::thread& t : producers) t.join();
   EXPECT_EQ(total, static_cast<size_t>(kProducers) * kPerProducer);
   for (int count : seen) EXPECT_EQ(count, 1);
-  EXPECT_LE(q.peak_weight(), 16u + 1u);
   EXPECT_TRUE(q.producer_status().ok());
 }
 

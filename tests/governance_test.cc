@@ -197,7 +197,7 @@ TEST_P(GovernanceTest, DeadlineAbortsStreamingCursorMidDrain) {
   // a 200us deadline cannot cover a 16-version full-history sweep.
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.IsDeadlineExceeded()) << outcome.ToString();
-  // The abort unwound cleanly: no leaked producer, next query fine.
+  // The abort unwound cleanly: no worker left running, next query fine.
   db->set_default_query_deadline(0);
   EXPECT_TRUE(db->Execute(kDeepHistoryQuery).ok());
 }

@@ -1,6 +1,7 @@
 #include "common/trace_ring.h"
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -216,6 +217,63 @@ TEST(TraceRingTest, DumpBalancesSpansAfterWrap) {
   EXPECT_EQ(CountOccurrences(json, "\"name\":\"execute\""), 0u);
   // ...and the dangling sort open was closed synthetically.
   EXPECT_EQ(CountOccurrences(json, "\"name\":\"sort\""), 2u);
+}
+
+TEST(TraceRingTest, ShortLivedThreadsReuseRings) {
+  // 1000 threads record one span and one instant each, in waves of
+  // kLive. An exited thread's ring goes back to the free list, so the
+  // ring count is bounded by the threads recording at once, not by how
+  // many ever recorded, and the gauges report exactly that.
+  TraceRecorder rec(SmallRing());
+  constexpr int kThreads = 1000;
+  constexpr int kLive = 4;
+  for (int wave = 0; wave < kThreads / kLive; ++wave) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kLive; ++t) {
+      threads.emplace_back([&rec] {
+        TraceSpanScope span(&rec, TraceSpanId::kStream);
+        rec.Emit(TraceEventType::kPoolMiss, 1);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    ASSERT_LE(rec.ring_count(), static_cast<size_t>(kLive));
+  }
+  EXPECT_EQ(rec.recorded(kTraceCatSpan), 2u * kThreads);
+  EXPECT_EQ(rec.recorded(kTraceCatPool), static_cast<uint64_t>(kThreads));
+
+  MetricsRegistry registry;
+  rec.RegisterMetrics(&registry);
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.GaugeOr("tcob_trace_rings"),
+            static_cast<int64_t>(rec.ring_count()));
+  EXPECT_EQ(snap.GaugeOr("tcob_trace_ring_bytes"),
+            static_cast<int64_t>(rec.ring_count() * 64 * 32));
+
+  // Reused rings mix several threads' events; the dump stays balanced.
+  std::string json = rec.DumpJson();
+  EXPECT_EQ(CountOccurrences(json, "\"ph\":\"B\""),
+            CountOccurrences(json, "\"ph\":\"E\""));
+  EXPECT_GT(CountOccurrences(json, "\"name\":\"stream\""), 0u);
+}
+
+TEST(TraceRingTest, ThreadOutlivingItsRecorderExitsCleanly) {
+  // The exiting thread's ring list still names a recorder destroyed
+  // before it; the exit hook must skip it (ASan catches a touch).
+  auto rec = std::make_unique<TraceRecorder>(SmallRing());
+  std::atomic<bool> recorded{false};
+  std::atomic<bool> recorder_gone{false};
+  std::thread thread([&] {
+    rec->Emit(TraceEventType::kPoolMiss, 1);
+    recorded.store(true);
+    while (!recorder_gone.load()) std::this_thread::yield();
+  });
+  while (!recorded.load()) std::this_thread::yield();
+  rec.reset();
+  recorder_gone.store(true);
+  thread.join();
+  // A recorder created afterwards starts with no rings at all.
+  TraceRecorder fresh(SmallRing());
+  EXPECT_EQ(fresh.ring_count(), 0u);
 }
 
 TEST(TraceRingTest, DisabledRecorderIsSilent) {
