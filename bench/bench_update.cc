@@ -36,10 +36,11 @@ void BM_UpdateAtom(benchmark::State& state) {
     AtomId emp =
         bench_db->handles.emps[cursor++ % bench_db->handles.emps.size()];
     Timestamp t = db->Now();
-    Status s = db->UpdateAtomValues(
+    Status s = db->UpdateAtom(
         "Emp", emp,
-        {Value::String("bench"), Value::Int(static_cast<int64_t>(cursor)),
-         Value::Int(1)},
+        {{"name", Value::String("bench")},
+         {"salary", Value::Int(static_cast<int64_t>(cursor))},
+         {"rank", Value::Int(1)}},
         t);
     BenchCheck(s, "update");
   }

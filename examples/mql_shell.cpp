@@ -12,7 +12,7 @@
 // Type MQL statements terminated by ';'. Meta commands:
 //   .help         show a cheat sheet
 //   .checkpoint   flush everything and truncate the WAL
-//   .now [t]      show or set the valid-time clock
+//   .now [t]      show or advance the valid-time clock
 //   .strategy     show the storage strategy
 //   .metrics      dump the metrics registry (Prometheus text format)
 //   .tiering      cold-tier report: segments, fences, cold/hot bytes

@@ -1,6 +1,8 @@
 #include "db/database.h"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -127,8 +129,6 @@ Status Database::Init() {
   attr_indexes_ = std::make_unique<AttrIndexManager>(pool_.get(), &catalog_);
   TCOB_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Open(dir_ + "/wal.log", env_));
   wal_->set_trace(&trace_rec_);
-  wal_->set_group_commit(options_.group_commit,
-                         options_.group_commit_window_micros);
   TCOB_RETURN_NOT_OK(LoadMeta());
   TCOB_RETURN_NOT_OK(Recover());
   recovery_stats_.journal_pages_applied =
@@ -165,6 +165,8 @@ void Database::RegisterMetrics() {
   pool_->RegisterMetrics(&metrics_);
   disk_->RegisterMetrics(&metrics_);
   wal_->RegisterMetrics(&metrics_);
+  metrics_.RegisterHistogram("tcob_wal_group_commit_size",
+                             &group_commit_size_);
   metrics_.RegisterCounter("tcob_statements_total", &statements_total_);
   metrics_.RegisterCounter("tcob_queries_total", &queries_total_);
   metrics_.RegisterCounter("tcob_slow_queries_total", &slow_queries_total_);
@@ -310,7 +312,7 @@ Status Database::Recover() {
           return true;
         }
         TCOB_RETURN_NOT_OK(ApplyOp(op));
-        ObserveTimestamp(op.valid_from);
+        SetNow(op.valid_from + 1);
         ++recovery_stats_.replayed_ops;
         return true;
       },
@@ -451,54 +453,7 @@ Status Database::DumpTraceToFile(const std::string& path) const {
   return Status::OK();
 }
 
-Status Database::LogAndApply(WalOp op) {
-  std::lock_guard<std::mutex> lk(writer_mu_);
-  TCOB_RETURN_NOT_OK(CheckWritable());
-  std::vector<AttrType> schema;
-  if (op.type == WalOpType::kInsertAtom ||
-      op.type == WalOpType::kUpdateAtom) {
-    TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* def,
-                          catalog_.GetAtomType(op.atom_type));
-    schema = def->AttrTypes();
-  }
-  op.op_seq = next_op_seq_;
-  if (op.stamped_now) {
-    // VALID FROM NOW resolves here, under the writer mutex — not at
-    // parse time. A commit that slipped in between would otherwise
-    // leave this stamp at or before a snapshot pinned after it, making
-    // the statement retroactively visible inside that snapshot.
-    op.valid_from = Now();
-  }
-  std::string payload;
-  TCOB_RETURN_NOT_OK(op.Encode(schema, &payload));
-  Status logged = wal_->Append(payload);
-  if (logged.ok() && options_.sync_wal) logged = wal_->SyncBatch();
-  if (!logged.ok()) {
-    // The WAL's durable state is unknowable (the record may be torn on
-    // disk, a failed fsync may have dropped it); stop writing.
-    Poison(logged);
-    return logged;
-  }
-  ++next_op_seq_;
-  Status applied = ApplyOp(op);
-  if (applied.ok()) {
-    ObserveTimestamp(op.valid_from);
-    // The statement is a single-key commit as far as snapshot
-    // validation goes: an open transaction that also wrote this entity
-    // must lose at its own Commit.
-    txn_manager_.CommitAuto(WriteKeyForOp(op));
-  } else if (applied.IsIOError() || applied.IsCorruption()) {
-    // The record is durably logged but the stores refused it for an
-    // environmental reason: a replay would reapply it, so the in-memory
-    // image no longer matches what recovery will build. Validation
-    // errors (NotFound etc.) are deterministic — replay fails the same
-    // way — and stay user-visible without degrading the instance.
-    FailHard(applied);
-  }
-  return applied;
-}
-
-// ---- transactions ----
+// ---- transactions and the commit pipeline ----
 
 namespace {
 
@@ -534,26 +489,32 @@ Status CheckRestampedOrder(const std::vector<WalOp>& ops,
 
 }  // namespace
 
+struct Database::Writer {
+  /// Transaction id, write keys, and (once applied) the committed flag.
+  TxnOutcome outcome;
+  uint64_t snapshot_seq = 0;
+  std::vector<WalOp> ops;
+  /// The batch's encoded WAL records (filled by the leader).
+  std::vector<std::string> records;
+  Status status;
+  /// Set by the leader that committed this batch as a follower.
+  bool done = false;
+  std::condition_variable cv;
+};
+
 Transaction Database::Begin() {
   const uint64_t txn_id =
       next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  Timestamp snapshot = kMinTimestamp;
-  uint64_t snapshot_seq = 0;
-  {
-    // Snapshot instant: the chronon just before NOW. Commits stamp
-    // their VALID FROM NOW operations under writer_mu_ (LogAndApply,
-    // CommitOps), so everything committed after this point lands at
-    // >= NOW, strictly after the snapshot — concurrent committers stay
-    // invisible. Pinning must itself hold writer_mu_: a multi-op
-    // commit advances NOW per applied op, and an unlocked pin could
-    // land mid-batch, seeing its earlier ops but not its later ones.
-    std::lock_guard<std::mutex> lk(writer_mu_);
-    snapshot = Now() - 1;
-    snapshot_seq = txn_manager_.BeginTxn(txn_id);
-  }
+  // Snapshot instant: the chronon just before the published NOW. A
+  // later commit stamps its NOW-relative operations at or after that
+  // NOW, strictly after the snapshot, so concurrent committers stay
+  // invisible; and a group publishes NOW together with its commit
+  // sequence only once it is applied, so the pinned pair never splits
+  // a group.
+  const TxnSnapshot pinned = txn_manager_.BeginTxn(txn_id);
   txns_begun_total_.Increment();
   trace_rec_.Emit(TraceEventType::kTxnBegin, txn_id);
-  return Transaction(this, txn_id, snapshot, snapshot_seq, alive_token_);
+  return Transaction(this, txn_id, pinned.now - 1, pinned.seq, alive_token_);
 }
 
 void Database::OnTxnAborted(uint64_t txn_id) {
@@ -562,8 +523,8 @@ void Database::OnTxnAborted(uint64_t txn_id) {
   trace_rec_.Emit(TraceEventType::kTxnAbort, txn_id);
 }
 
-Status Database::CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
-                           uint64_t snapshot_seq) {
+Status Database::CommitBatch(uint64_t txn_id, std::vector<WalOp> ops,
+                             uint64_t snapshot_seq) {
   if (ops.empty()) {
     // A write-free transaction commits trivially: nothing to validate,
     // nothing to log.
@@ -572,126 +533,199 @@ Status Database::CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
     trace_rec_.Emit(TraceEventType::kTxnCommit, txn_id);
     return Status::OK();
   }
-  std::vector<TxnWriteKey> keys;
-  keys.reserve(ops.size());
-  for (const WalOp& op : ops) keys.push_back(WriteKeyForOp(op));
-
-  std::unique_lock<std::mutex> lk(writer_mu_);
-  Status writable = CheckWritable();
-  if (!writable.ok()) {
-    txn_manager_.EndTxn(txn_id);
-    return writable;
+  Writer w;
+  w.outcome.txn_id = txn_id;
+  w.outcome.keys.reserve(ops.size());
+  for (const WalOp& op : ops) w.outcome.keys.push_back(WriteKeyForOp(op));
+  w.snapshot_seq = snapshot_seq;
+  w.ops = std::move(ops);
+  if (!options_.group_commit) {
+    // Every commit is a group of its own: committers meet on writer_mu_
+    // alone, without a queue hand-off per commit.
+    CommitGroup({&w});
+    return w.status;
   }
-  // First-committer-wins: anyone who committed one of our write keys
-  // after our snapshot wins; we abort and our buffered ops vanish.
-  Status valid = txn_manager_.CheckConflict(snapshot_seq, keys);
-  if (!valid.ok()) {
-    txn_manager_.EndTxn(txn_id);
-    txn_conflicts_total_.Increment();
-    trace_rec_.Emit(TraceEventType::kTxnConflict, txn_id);
-    return valid;
+
+  std::unique_lock<std::mutex> lk(queue_mu_);
+  writers_.push_back(&w);
+  while (!w.done && &w != writers_.front()) w.cv.wait(lk);
+  if (w.done) return w.status;
+  // Leader. An optional window lets late committers queue up behind it
+  // and share its fsync instead of forming the next group.
+  if (options_.sync_wal && options_.group_commit_window_micros > 0) {
+    w.cv.wait_for(lk, std::chrono::microseconds(
+                          options_.group_commit_window_micros));
+  }
+  const std::vector<Writer*> group(writers_.begin(), writers_.end());
+  lk.unlock();
+  CommitGroup(group);
+  lk.lock();
+  for (Writer* member : group) {
+    writers_.pop_front();
+    if (member != &w) {
+      member->done = true;
+      member->cv.notify_one();
+    }
+  }
+  if (!writers_.empty()) writers_.front()->cv.notify_one();
+  return w.status;
+}
+
+Status Database::PrepareBatch(Writer* w, const std::set<TxnWriteKey>& taken,
+                              Timestamp* clock, uint64_t* seq) const {
+  // First committer wins: against the groups published since the
+  // snapshot, and against the batches ahead of this one in its group.
+  TCOB_RETURN_NOT_OK(
+      txn_manager_.CheckConflict(w->snapshot_seq, w->outcome.keys));
+  for (const TxnWriteKey& key : w->outcome.keys) {
+    if (taken.count(key) != 0) return WriteConflict(key);
   }
   // The buffered VALID FROM NOW stamps were provisional (the
   // transaction-local clock at buffering time); left alone, a commit
   // could land at or before a snapshot pinned *after* buffering and
   // become retroactively visible inside it. Re-stamp them to the
-  // commit instant, advancing a local clock by the same rule
-  // ObserveTimestamp applies below, so NOW ops land at the commit's
-  // NOW and explicit stamps keep their absolute positions.
-  std::vector<WalOp> stamped = ops;
-  Timestamp commit_clock = Now();
+  // group's clock, which every stamp advances past, so NOW ops land at
+  // the commit's NOW and explicit stamps keep their absolute positions.
+  Timestamp c = *clock;
   bool restamped = false;
-  for (WalOp& op : stamped) {
+  for (WalOp& op : w->ops) {
     if (op.stamped_now) {
-      op.valid_from = commit_clock;
+      op.valid_from = c;
       restamped = true;
     }
-    if (op.valid_from >= commit_clock) commit_clock = op.valid_from + 1;
+    if (op.valid_from >= c) c = op.valid_from + 1;
   }
   if (restamped) {
-    Status ordered = CheckRestampedOrder(stamped, keys);
-    if (!ordered.ok()) {
-      txn_manager_.EndTxn(txn_id);
-      txn_conflicts_total_.Increment();
-      trace_rec_.Emit(TraceEventType::kTxnConflict, txn_id);
-      return ordered;
-    }
+    TCOB_RETURN_NOT_OK(CheckRestampedOrder(w->ops, w->outcome.keys));
   }
-  // Phase 1: log everything, ending with the commit record. Sequence
-  // numbers are consumed per logged record so the watermark matches
-  // what a later replay will see. The whole batch is appended inside
-  // one writer-mutex critical section, so a transaction's records are
-  // contiguous in the log and its commit record directly follows them.
-  for (WalOp& op : stamped) {
+  // One op is one self-committed record (txn id 0, no commit record);
+  // n ops are n records plus a commit record, and recovery replays them
+  // only if that commit record survived. Sequence numbers are consumed
+  // per record so the watermark matches what a replay will see.
+  const bool self_committed = w->ops.size() == 1;
+  uint64_t next = *seq;
+  auto encode = [&](WalOp* op) -> Status {
+    op->op_seq = next++;
     std::vector<AttrType> schema;
-    if (op.type == WalOpType::kInsertAtom ||
-        op.type == WalOpType::kUpdateAtom) {
+    if (op->type == WalOpType::kInsertAtom ||
+        op->type == WalOpType::kUpdateAtom) {
       TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* def,
-                            catalog_.GetAtomType(op.atom_type));
+                            catalog_.GetAtomType(op->atom_type));
       schema = def->AttrTypes();
     }
-    op.op_seq = next_op_seq_;
-    std::string payload;
-    TCOB_RETURN_NOT_OK(op.Encode(schema, &payload));
-    Status logged = wal_->Append(payload);
-    if (!logged.ok()) {
-      txn_manager_.EndTxn(txn_id);
-      Poison(logged);
-      return logged;
-    }
-    ++next_op_seq_;
+    return op->Encode(schema, &w->records.emplace_back());
+  };
+  for (WalOp& op : w->ops) {
+    op.txn_id = self_committed ? 0 : w->outcome.txn_id;
+    TCOB_RETURN_NOT_OK(encode(&op));
   }
-  WalOp commit;
-  commit.type = WalOpType::kCommit;
-  commit.txn_id = txn_id;
-  commit.op_seq = next_op_seq_;
-  std::string payload;
-  TCOB_RETURN_NOT_OK(commit.Encode({}, &payload));
-  Status logged = wal_->Append(payload);
-  if (!logged.ok()) {
-    txn_manager_.EndTxn(txn_id);
-    Poison(logged);
-    return logged;
+  if (!self_committed) {
+    WalOp commit;
+    commit.type = WalOpType::kCommit;
+    commit.txn_id = w->outcome.txn_id;
+    TCOB_RETURN_NOT_OK(encode(&commit));
   }
-  ++next_op_seq_;
-  // Phase 2: apply. Validation at buffering time plus the conflict
-  // check guarantee success; a failure here means the in-memory image
-  // diverged from the log (the commit record is already appended, so
-  // recovery would reapply the batch).
-  for (const WalOp& op : stamped) {
-    Status applied = ApplyOp(op);
-    if (!applied.ok()) {
-      Status wrapped =
-          Status::Internal("transaction apply failed after logging: " +
-                           applied.ToString());
-      // The commit record is durable but the image is now partial; no
-      // further access can be trusted.
-      txn_manager_.EndTxn(txn_id);
-      FailHard(wrapped);
-      return wrapped;
-    }
-    ObserveTimestamp(op.valid_from);
-  }
-  txn_manager_.Commit(txn_id, std::move(keys));
-  txns_committed_total_.Increment();
-  trace_rec_.Emit(TraceEventType::kTxnCommit, txn_id);
-  // Phase 3: durability — *outside* the writer mutex, so concurrent
-  // committers reach SyncBatch together and share one group fsync.
-  // The effects are visible before they are durable (standard early
-  // lock release); the ack below only happens once the group's fsync
-  // covered this commit record. A crash in between recovers to the
-  // unacked transaction being absent or present atomically — never
-  // partial — via the two-pass replay.
-  lk.unlock();
-  if (options_.sync_wal) {
-    Status synced = wal_->SyncBatch();
-    if (!synced.ok()) {
-      std::lock_guard<std::mutex> relk(writer_mu_);
-      Poison(synced);
-      return synced;
-    }
-  }
+  *clock = c;
+  *seq = next;
   return Status::OK();
+}
+
+void Database::CommitGroup(const std::vector<Writer*>& group) {
+  std::lock_guard<std::mutex> lk(writer_mu_);
+  // 1. Validate: each batch in queue order against the published
+  //    commits and the batches ahead of it. A refused batch is dropped
+  //    from the group before anything reaches the log.
+  const Status writable = CheckWritable();
+  Timestamp clock = Now();
+  uint64_t seq = next_op_seq_;
+  std::set<TxnWriteKey> taken;
+  std::vector<Writer*> logged;
+  for (Writer* w : group) {
+    w->status =
+        writable.ok() ? PrepareBatch(w, taken, &clock, &seq) : writable;
+    if (!w->status.ok()) continue;
+    if (w != group.back()) {
+      taken.insert(w->outcome.keys.begin(), w->outcome.keys.end());
+    }
+    logged.push_back(w);
+  }
+  // 2. Log, then make durable. The WAL's state is unknowable after a
+  //    failed append or fsync (a record may be torn, an fsync may have
+  //    dropped it), so the instance stops writing and the group stays
+  //    invisible: nothing of it is applied or published, so reads keep
+  //    serving exactly what a healthy replica would.
+  Status durable;
+  for (Writer* w : logged) {
+    for (const std::string& record : w->records) {
+      if (durable.ok()) durable = wal_->Append(record);
+    }
+  }
+  if (durable.ok() && options_.sync_wal && !logged.empty()) {
+    durable = wal_->Sync();
+    if (durable.ok() && options_.group_commit) {
+      group_commit_size_.Observe(logged.size());
+    }
+  }
+  if (!durable.ok()) {
+    Poison(durable);
+    for (Writer* w : logged) w->status = durable;
+    logged.clear();
+    clock = Now();
+  } else {
+    next_op_seq_ = seq;
+  }
+  // 3. Apply in queue order. Validation guarantees success; a failure
+  //    means the in-memory image diverged from the durable log, which
+  //    recovery would replay in full.
+  {
+    std::lock_guard<std::shared_mutex> applying(apply_mu_);
+    for (size_t i = 0; i < logged.size(); ++i) {
+      Status applied;
+      for (const WalOp& op : logged[i]->ops) {
+        if (applied.ok()) applied = ApplyOp(op);
+      }
+      if (applied.ok()) {
+        logged[i]->outcome.committed = true;
+        continue;
+      }
+      Status wrapped = Status::Internal(
+          "commit apply failed after logging: " + applied.ToString());
+      FailHard(wrapped);
+      for (size_t j = i; j < logged.size(); ++j) logged[j]->status = wrapped;
+      break;
+    }
+  }
+  // 4. Publish the new (NOW, commit sequence) pair and end every
+  //    member's transaction, winners and losers alike.
+  std::vector<TxnOutcome> outcomes;
+  outcomes.reserve(group.size());
+  for (Writer* w : group) {
+    if (w->outcome.committed) {
+      txns_committed_total_.Increment();
+      trace_rec_.Emit(TraceEventType::kTxnCommit, w->outcome.txn_id);
+    } else if (w->status.IsTxnConflict()) {
+      txn_conflicts_total_.Increment();
+      trace_rec_.Emit(TraceEventType::kTxnConflict, w->outcome.txn_id);
+    }
+    outcomes.push_back(std::move(w->outcome));
+  }
+  txn_manager_.Publish(clock, &outcomes);
+}
+
+template <typename Op>
+Status Database::AutoCommit(const Op& op) {
+  if (options_.read_only || health_state() != HealthState::kHealthy) {
+    // Refuse with the preserved cause before validating a statement
+    // that could never commit.
+    std::lock_guard<std::mutex> lk(writer_mu_);
+    TCOB_RETURN_NOT_OK(CheckWritable());
+  }
+  while (true) {
+    Transaction txn = Begin();
+    TCOB_RETURN_NOT_OK(op(&txn));
+    Status committed = txn.Commit();
+    if (!committed.IsTxnConflict()) return committed;
+  }
 }
 
 Status Database::BeginSession() {
@@ -797,64 +831,19 @@ Result<IndexId> Database::CreateAttrIndex(const std::string& name,
   return id;
 }
 
-// ---- value handling ----
-
-Result<Value> Database::Coerce(const Value& v, AttrType target) {
-  if (v.is_null()) return Value::Null(target);
-  if (v.type() == target) return v;
-  if (v.type() == AttrType::kInt) {
-    switch (target) {
-      case AttrType::kDouble:
-        return Value::Double(static_cast<double>(v.AsInt()));
-      case AttrType::kTimestamp:
-        return Value::Time(v.AsInt());
-      case AttrType::kId:
-        return Value::Id(static_cast<AtomId>(v.AsInt()));
-      default:
-        break;
-    }
-  }
-  return Status::TypeError(std::string("cannot assign ") +
-                           AttrTypeName(v.type()) + " to " +
-                           AttrTypeName(target));
-}
-
-Result<std::vector<Value>> Database::ResolveAssignmentsFor(
-    const AtomTypeDef& type,
-    const std::vector<std::pair<std::string, Value>>& assignments,
-    const std::vector<Value>* base) {
-  std::vector<Value> out;
-  out.reserve(type.attributes.size());
-  if (base != nullptr) {
-    out = *base;
-  } else {
-    for (const AttributeDef& attr : type.attributes) {
-      out.push_back(Value::Null(attr.type));
-    }
-  }
-  for (const auto& [name, value] : assignments) {
-    int idx = type.AttrIndex(name);
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown attribute " + type.name + "." +
-                                     name);
-    }
-    TCOB_ASSIGN_OR_RETURN(out[idx],
-                          Coerce(value, type.attributes[idx].type));
-  }
-  return out;
-}
-
 // ---- DML ----
 
 Result<AtomId> Database::InsertAtom(
     const std::string& type_name,
     const std::vector<std::pair<std::string, Value>>& assignments,
     Timestamp from, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        catalog_.GetAtomTypeByName(type_name));
-  TCOB_ASSIGN_OR_RETURN(std::vector<Value> values,
-                        ResolveAssignmentsFor(*type, assignments, nullptr));
-  return InsertAtomValues(type_name, std::move(values), from, from_now);
+  AtomId id = kInvalidAtomId;
+  TCOB_RETURN_NOT_OK(AutoCommit([&](Transaction* txn) -> Status {
+    TCOB_ASSIGN_OR_RETURN(
+        id, txn->InsertAtom(type_name, assignments, from, from_now));
+    return Status::OK();
+  }));
+  return id;
 }
 
 Result<AtomId> Database::InsertAtomValues(const std::string& type_name,
@@ -862,91 +851,48 @@ Result<AtomId> Database::InsertAtomValues(const std::string& type_name,
                                           Timestamp from, bool from_now) {
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                         catalog_.GetAtomTypeByName(type_name));
-  WalOp op;
-  op.type = WalOpType::kInsertAtom;
-  op.stamped_now = from_now;
-  op.atom_id = catalog_.NextAtomId();
-  op.atom_type = type->id;
-  op.valid_from = from;
-  op.attrs = std::move(values);
-  TCOB_RETURN_NOT_OK(LogAndApply(op));
-  return op.atom_id;
+  if (values.size() != type->attributes.size()) {
+    return Status::InvalidArgument(
+        "insert of " + type_name + " needs " +
+        std::to_string(type->attributes.size()) + " value(s), got " +
+        std::to_string(values.size()));
+  }
+  std::vector<std::pair<std::string, Value>> assignments;
+  assignments.reserve(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    assignments.emplace_back(type->attributes[i].name, std::move(values[i]));
+  }
+  return InsertAtom(type_name, assignments, from, from_now);
 }
 
 Status Database::UpdateAtom(
     const std::string& type_name, AtomId id,
     const std::vector<std::pair<std::string, Value>>& assignments,
     Timestamp from, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        catalog_.GetAtomTypeByName(type_name));
-  // Carry unchanged attributes over from the version being replaced.
-  TCOB_ASSIGN_OR_RETURN(std::optional<AtomVersion> current,
-                        store_->GetAsOf(*type, id, from - 1));
-  if (!current.has_value()) {
-    return Status::InvalidArgument("atom " + std::to_string(id) +
-                                   " has no version just before " +
-                                   TimestampToString(from));
-  }
-  TCOB_ASSIGN_OR_RETURN(
-      std::vector<Value> values,
-      ResolveAssignmentsFor(*type, assignments, &current->attrs));
-  return UpdateAtomValues(type_name, id, std::move(values), from, from_now);
-}
-
-Status Database::UpdateAtomValues(const std::string& type_name, AtomId id,
-                                  std::vector<Value> values, Timestamp from,
-                                  bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        catalog_.GetAtomTypeByName(type_name));
-  WalOp op;
-  op.type = WalOpType::kUpdateAtom;
-  op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
-  op.attrs = std::move(values);
-  return LogAndApply(op);
+  return AutoCommit([&](Transaction* txn) {
+    return txn->UpdateAtom(type_name, id, assignments, from, from_now);
+  });
 }
 
 Status Database::DeleteAtom(const std::string& type_name, AtomId id,
                             Timestamp from, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        catalog_.GetAtomTypeByName(type_name));
-  WalOp op;
-  op.type = WalOpType::kDeleteAtom;
-  op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
-  return LogAndApply(op);
+  return AutoCommit([&](Transaction* txn) {
+    return txn->DeleteAtom(type_name, id, from, from_now);
+  });
 }
 
 Status Database::Connect(const std::string& link_name, AtomId from_id,
                          AtomId to_id, Timestamp at, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
-                        catalog_.GetLinkTypeByName(link_name));
-  WalOp op;
-  op.type = WalOpType::kConnect;
-  op.stamped_now = from_now;
-  op.link_type = link->id;
-  op.from_id = from_id;
-  op.to_id = to_id;
-  op.valid_from = at;
-  return LogAndApply(op);
+  return AutoCommit([&](Transaction* txn) {
+    return txn->Connect(link_name, from_id, to_id, at, from_now);
+  });
 }
 
 Status Database::Disconnect(const std::string& link_name, AtomId from_id,
                             AtomId to_id, Timestamp at, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
-                        catalog_.GetLinkTypeByName(link_name));
-  WalOp op;
-  op.type = WalOpType::kDisconnect;
-  op.stamped_now = from_now;
-  op.link_type = link->id;
-  op.from_id = from_id;
-  op.to_id = to_id;
-  op.valid_from = at;
-  return LogAndApply(op);
+  return AutoCommit([&](Transaction* txn) {
+    return txn->Disconnect(link_name, from_id, to_id, at, from_now);
+  });
 }
 
 // ---- queries ----
@@ -1232,6 +1178,78 @@ void Database::FinalizeSelectTrace(SelectCursorContext* ctx) {
   last_query_stats_ = trace;
 }
 
+namespace {
+
+template <typename T>
+constexpr bool IsDml() {
+  return std::is_same_v<T, InsertStmt> || std::is_same_v<T, UpdateStmt> ||
+         std::is_same_v<T, DeleteStmt> || std::is_same_v<T, ConnectStmt> ||
+         std::is_same_v<T, DisconnectStmt>;
+}
+
+/// Buffers one DML statement into `txn`; `*atom` receives the atom it
+/// writes (the fresh surrogate, for an insert).
+Status BufferDml(Transaction* txn, const InsertStmt& s, Timestamp from,
+                 AtomId* atom) {
+  TCOB_ASSIGN_OR_RETURN(
+      *atom, txn->InsertAtom(s.type_name, s.assignments, from, s.from.is_now));
+  return Status::OK();
+}
+Status BufferDml(Transaction* txn, const UpdateStmt& s, Timestamp from,
+                 AtomId* atom) {
+  *atom = s.atom_id;
+  return txn->UpdateAtom(s.type_name, s.atom_id, s.assignments, from,
+                         s.from.is_now);
+}
+Status BufferDml(Transaction* txn, const DeleteStmt& s, Timestamp from,
+                 AtomId* atom) {
+  *atom = s.atom_id;
+  return txn->DeleteAtom(s.type_name, s.atom_id, from, s.from.is_now);
+}
+Status BufferDml(Transaction* txn, const ConnectStmt& s, Timestamp from,
+                 AtomId*) {
+  return txn->Connect(s.link_name, s.from_id, s.to_id, from, s.from.is_now);
+}
+Status BufferDml(Transaction* txn, const DisconnectStmt& s, Timestamp from,
+                 AtomId*) {
+  return txn->Disconnect(s.link_name, s.from_id, s.to_id, from,
+                         s.from.is_now);
+}
+
+/// How a DML statement's result message names it: the past tense for an
+/// auto-commit, the noun for a buffered op, and whether it names an atom.
+struct DmlWords {
+  const char* done;
+  const char* noun;
+  bool names_atom;
+};
+DmlWords DmlWordsFor(const InsertStmt&) { return {"inserted", "insert", true}; }
+DmlWords DmlWordsFor(const UpdateStmt&) { return {"updated", "update", true}; }
+DmlWords DmlWordsFor(const DeleteStmt&) { return {"deleted", "delete", true}; }
+DmlWords DmlWordsFor(const ConnectStmt&) {
+  return {"connected", "connect", false};
+}
+DmlWords DmlWordsFor(const DisconnectStmt&) {
+  return {"disconnected", "disconnect", false};
+}
+
+/// "inserted atom #3 valid from 10", or for a statement buffered into
+/// the session transaction "buffered insert of atom #3 valid from 10
+/// (transaction 7)".
+std::string DmlMessage(const DmlWords& words, AtomId atom, Timestamp from,
+                       const Transaction* session) {
+  const std::string detail =
+      words.names_atom ? " atom #" + std::to_string(atom) + " valid from " +
+                             TimestampToString(from)
+                       : "";
+  if (session == nullptr) return words.done + detail;
+  return std::string("buffered ") + words.noun +
+         (words.names_atom ? " of" + detail : "") + " (transaction " +
+         std::to_string(session->id()) + ")";
+}
+
+}  // namespace
+
 Result<ResultSet> Database::ExecuteStatementImpl(const Statement& stmt,
                                                  const std::string* text,
                                                  double parse_us) {
@@ -1287,98 +1305,21 @@ Result<ResultSet> Database::ExecuteStatementImpl(const Statement& stmt,
           out.message = "created molecule type " + s.name + " (id " +
                         std::to_string(id) + ")";
           return out;
-        } else if constexpr (std::is_same_v<T, InsertStmt>) {
-          // NOW is resolved against the session transaction's pinned
-          // clock for the buffered message; the definitive stamp is
-          // assigned at commit (transaction) or under the writer mutex
-          // (auto-commit) via WalOp::stamped_now.
-          if (InSessionTxn()) {
-            Timestamp from =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_ASSIGN_OR_RETURN(
-                AtomId id,
-                session_txn_->InsertAtom(s.type_name, s.assignments, from,
-                                         s.from.is_now));
-            out.inserted_id = id;
-            out.message = "buffered insert of atom #" + std::to_string(id) +
-                          " valid from " + TimestampToString(from) +
-                          " (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp from = s.from.is_now ? Now() : s.from.at;
-          TCOB_ASSIGN_OR_RETURN(
-              AtomId id,
-              InsertAtom(s.type_name, s.assignments, from, s.from.is_now));
-          out.inserted_id = id;
-          out.message = "inserted atom #" + std::to_string(id) +
-                        " valid from " + TimestampToString(from);
-          return out;
-        } else if constexpr (std::is_same_v<T, UpdateStmt>) {
-          if (InSessionTxn()) {
-            Timestamp from =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_RETURN_NOT_OK(session_txn_->UpdateAtom(
-                s.type_name, s.atom_id, s.assignments, from, s.from.is_now));
-            out.message = "buffered update of atom #" +
-                          std::to_string(s.atom_id) + " valid from " +
-                          TimestampToString(from) + " (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp from = s.from.is_now ? Now() : s.from.at;
-          TCOB_RETURN_NOT_OK(UpdateAtom(s.type_name, s.atom_id, s.assignments,
-                                        from, s.from.is_now));
-          out.message = "updated atom #" + std::to_string(s.atom_id) +
-                        " valid from " + TimestampToString(from);
-          return out;
-        } else if constexpr (std::is_same_v<T, DeleteStmt>) {
-          if (InSessionTxn()) {
-            Timestamp from =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_RETURN_NOT_OK(session_txn_->DeleteAtom(
-                s.type_name, s.atom_id, from, s.from.is_now));
-            out.message = "buffered delete of atom #" +
-                          std::to_string(s.atom_id) + " valid from " +
-                          TimestampToString(from) + " (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp from = s.from.is_now ? Now() : s.from.at;
-          TCOB_RETURN_NOT_OK(
-              DeleteAtom(s.type_name, s.atom_id, from, s.from.is_now));
-          out.message = "deleted atom #" + std::to_string(s.atom_id) +
-                        " valid from " + TimestampToString(from);
-          return out;
-        } else if constexpr (std::is_same_v<T, ConnectStmt>) {
-          if (InSessionTxn()) {
-            Timestamp at =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_RETURN_NOT_OK(session_txn_->Connect(
-                s.link_name, s.from_id, s.to_id, at, s.from.is_now));
-            out.message = "buffered connect (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp at = s.from.is_now ? Now() : s.from.at;
-          TCOB_RETURN_NOT_OK(
-              Connect(s.link_name, s.from_id, s.to_id, at, s.from.is_now));
-          out.message = "connected";
-          return out;
-        } else if constexpr (std::is_same_v<T, DisconnectStmt>) {
-          if (InSessionTxn()) {
-            Timestamp at =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_RETURN_NOT_OK(session_txn_->Disconnect(
-                s.link_name, s.from_id, s.to_id, at, s.from.is_now));
-            out.message = "buffered disconnect (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp at = s.from.is_now ? Now() : s.from.at;
-          TCOB_RETURN_NOT_OK(
-              Disconnect(s.link_name, s.from_id, s.to_id, at, s.from.is_now));
-          out.message = "disconnected";
+        } else if constexpr (IsDml<T>()) {
+          // One DML surface: the statement buffers into the session
+          // transaction, or commits at once as a one-op transaction.
+          Transaction* session = InSessionTxn() ? session_txn_.get() : nullptr;
+          const Timestamp from = !s.from.is_now   ? s.from.at
+                                 : session != nullptr ? session->local_now()
+                                                      : Now();
+          AtomId atom = kInvalidAtomId;
+          auto buffer = [&](Transaction* txn) {
+            return BufferDml(txn, s, from, &atom);
+          };
+          TCOB_RETURN_NOT_OK(session != nullptr ? buffer(session)
+                                                : AutoCommit(buffer));
+          if constexpr (std::is_same_v<T, InsertStmt>) out.inserted_id = atom;
+          out.message = DmlMessage(DmlWordsFor(s), atom, from, session);
           return out;
         } else if constexpr (std::is_same_v<T, BeginStmt>) {
           TCOB_RETURN_NOT_OK(BeginSession());
@@ -1410,7 +1351,7 @@ Result<ResultSet> Database::ExecuteStatementImpl(const Statement& stmt,
             out.rows.push_back(
                 {Value::String(metric), Value::Int(value)});
           };
-          add("clock_now", now_);
+          add("clock_now", Now());
           add("strategy",
               static_cast<int64_t>(options_.strategy));
           out.rows.back()[1] =
@@ -1551,8 +1492,9 @@ Result<uint64_t> Database::TierMigrate() {
                      static_cast<uint64_t>(TraceTierPhase::kCheckpoint));
     TCOB_RETURN_NOT_OK(CheckpointLocked());
   }
-  const Timestamp cutoff = now_ > options_.tiering.cold_age
-                               ? now_ - options_.tiering.cold_age
+  const Timestamp now = Now();
+  const Timestamp cutoff = now > options_.tiering.cold_age
+                               ? now - options_.tiering.cold_age
                                : kMinTimestamp;
   uint64_t migrated = 0;
   for (const AtomTypeDef* type : catalog_.AtomTypes()) {
@@ -1735,7 +1677,7 @@ constexpr size_t kMetaSize = 4 + 8 + 8 + 4;  // magic, now, op_seq, crc
 std::string Database::EncodeMeta() const {
   std::string bytes;
   PutFixed32(&bytes, kMetaMagic);
-  PutFixed64(&bytes, static_cast<uint64_t>(now_));
+  PutFixed64(&bytes, static_cast<uint64_t>(Now()));
   PutFixed64(&bytes, next_op_seq_);
   PutFixed32(&bytes, Crc32c(bytes.data(), bytes.size()));
   return bytes;
@@ -1755,7 +1697,7 @@ Status Database::LoadMeta() {
   const std::string& bytes = read.value();
   if (bytes.size() == 8) {
     // Legacy format: the bare clock, no watermark, no checksum.
-    now_ = static_cast<Timestamp>(DecodeFixed64(bytes.data()));
+    SetNow(static_cast<Timestamp>(DecodeFixed64(bytes.data())));
     return Status::OK();
   }
   if (bytes.size() != kMetaSize) {
@@ -1769,7 +1711,7 @@ Status Database::LoadMeta() {
   if (stored != Crc32c(bytes.data(), kMetaSize - 4)) {
     return Status::Corruption("meta file " + path + ": checksum mismatch");
   }
-  now_ = static_cast<Timestamp>(DecodeFixed64(bytes.data() + 4));
+  SetNow(static_cast<Timestamp>(DecodeFixed64(bytes.data() + 4)));
   next_op_seq_ = DecodeFixed64(bytes.data() + 12);
   if (next_op_seq_ == 0) next_op_seq_ = 1;
   return Status::OK();

@@ -2,8 +2,11 @@
 #define TCOB_DB_DATABASE_H_
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -58,16 +61,18 @@ struct DatabaseOptions {
   size_t buffer_pool_pages = 1024;
   /// Store tuning (version index toggle etc.).
   StoreOptions store;
-  /// fdatasync the WAL after every auto-committed statement.
+  /// fsync the WAL once per commit group, before the group is applied:
+  /// a statement or COMMIT that returns OK is durable.
   bool sync_wal = false;
-  /// Group commit: concurrent committers share one WAL fsync (a leader
-  /// syncs for every committer queued at that moment; see
-  /// WriteAheadLog::SyncBatch). Disable to give every commit its own
+  /// Group commit: the commit pipeline's leader logs every batch queued
+  /// at that moment and covers them with one fsync (see
+  /// Database::CommitBatch). Disable to give every commit its own
   /// fsync (the benchmark ablation).
   bool group_commit = true;
-  /// Optional group-commit batching window: a leader waits up to this
-  /// many microseconds for more committers before issuing its fsync.
-  /// 0 relies on natural batching under an in-flight fsync.
+  /// Optional group-commit batching window: with sync_wal, a leader
+  /// waits up to this many microseconds for more committers before it
+  /// samples its group. 0 relies on natural batching under an in-flight
+  /// fsync.
   uint64_t group_commit_window_micros = 0;
   /// Worker threads for the read path (molecule materialization fans out
   /// across them). 0 = one per hardware thread; 1 = fully serial
@@ -161,10 +166,10 @@ struct RecoveryStats {
 /// The public face of the temporal complex-object database.
 ///
 /// A Database owns one directory of files: the catalog, the WAL, and the
-/// files of the chosen storage strategy. All DML is valid-time stamped;
-/// every mutation is WAL-logged before being applied, and Open replays
-/// the log tail after a crash. Execution is single-threaded (one thread
-/// per Database instance).
+/// files of the chosen storage strategy. All DML is valid-time stamped
+/// and commits through one pipeline: validated, WAL-logged, made durable
+/// (under sync_wal), then applied; Open replays the log tail after a
+/// crash.
 ///
 /// Typical use:
 ///   TCOB_ASSIGN_OR_RETURN(auto db, Database::Open("/data/hr", {}));
@@ -204,9 +209,13 @@ class Database {
 
   /// The database's NOW (a chronon). DML stamped "VALID FROM NOW" uses it
   /// and then advances it by one; explicit stamps pull it forward to
-  /// stay monotone.
-  Timestamp Now() const { return now_.load(std::memory_order_acquire); }
-  void SetNow(Timestamp t) { now_.store(t, std::memory_order_release); }
+  /// stay monotone. Each commit group publishes it together with its
+  /// commit sequence (see TxnManager).
+  Timestamp Now() const { return txn_manager_.now(); }
+  /// Moves NOW forward to `t`. NOW never moves backwards: it stays past
+  /// every committed stamp, which is what lets a transaction validate
+  /// against its snapshot (`VALID AT` reads any instant).
+  void SetNow(Timestamp t) { txn_manager_.AdvanceNow(t); }
 
   // ---- transactions ----
 
@@ -214,7 +223,10 @@ class Database {
   /// transaction.h). Any number may be open concurrently — each reads
   /// at its own snapshot, buffers its writes, and validates
   /// first-committer-wins at Commit (the loser of a write-write race
-  /// gets TxnConflict). Commits group their WAL fsyncs.
+  /// gets TxnConflict). Commits group their WAL fsyncs. The snapshot is
+  /// the (NOW, commit sequence) pair the newest commit group published,
+  /// pinned under the TxnManager's mutex: Begin never waits for a
+  /// commit in progress and never sees part of one.
   Transaction Begin();
 
   /// The MQL transaction surface (BEGIN; / COMMIT; / ABORT; statements
@@ -232,11 +244,15 @@ class Database {
   /// programmatic); introspection for tests and the degradation paths.
   size_t ActiveTxns() const { return txn_manager_.active_txns(); }
 
-  // ---- DML (auto-commit: WAL append, then apply) ----
+  // ---- DML (auto-commit) ----
   //
-  // `from_now` marks a "VALID FROM NOW" stamp: the passed timestamp is
-  // provisional and the operation is re-stamped to the clock's NOW
-  // under the writer mutex when it is logged, so a concurrent commit
+  // Each call is a one-op transaction: Begin(), the Transaction
+  // primitive (which validates against the snapshot), then Commit()
+  // through the one commit pipeline. A refused statement writes
+  // nothing; a lost first-committer-wins race re-runs on a fresh
+  // snapshot, so these never return TxnConflict. `from_now` marks a
+  // "VALID FROM NOW" stamp: the passed timestamp is provisional and the
+  // commit group's leader re-stamps it to NOW, so a concurrent commit
   // can never make it land at or before an already-pinned snapshot.
 
   /// Inserts a new atom; unlisted attributes are NULL. Returns its id.
@@ -245,7 +261,8 @@ class Database {
       const std::vector<std::pair<std::string, Value>>& assignments,
       Timestamp from, bool from_now = false);
 
-  /// Positional variant (all attributes, schema order).
+  /// Positional variant (all attributes, schema order); a wrapper over
+  /// InsertAtom.
   Result<AtomId> InsertAtomValues(const std::string& type_name,
                                   std::vector<Value> values, Timestamp from,
                                   bool from_now = false);
@@ -255,11 +272,6 @@ class Database {
                     const std::vector<std::pair<std::string, Value>>&
                         assignments,
                     Timestamp from, bool from_now = false);
-
-  /// Positional variant (all attributes, schema order).
-  Status UpdateAtomValues(const std::string& type_name, AtomId id,
-                          std::vector<Value> values, Timestamp from,
-                          bool from_now = false);
 
   Status DeleteAtom(const std::string& type_name, AtomId id, Timestamp from,
                     bool from_now = false);
@@ -444,17 +456,9 @@ class Database {
   }
   const DatabaseOptions& options() const { return options_; }
 
-  /// Coerces + positions named assignments against a type's schema;
-  /// `base` supplies carried-over values for partial updates (nullptr
-  /// means unlisted attributes become NULL). Shared with Transaction.
-  static Result<std::vector<Value>> ResolveAssignmentsFor(
-      const AtomTypeDef& type,
-      const std::vector<std::pair<std::string, Value>>& assignments,
-      const std::vector<Value>* base);
-
  private:
   friend class Transaction;
-  // Dump/restore needs the logical-apply path and catalog installation.
+  // Dump/restore needs the commit pipeline and catalog installation.
   friend Status ExportDump(Database* db, const std::string& path);
   friend Status ImportDump(Database* db, const std::string& path);
 
@@ -464,13 +468,39 @@ class Database {
   /// Hands out a fresh atom surrogate (used by Transaction buffering).
   AtomId AllocateAtomId() { return catalog_.NextAtomId(); }
 
-  /// Transaction commit path: first-committer-wins validation against
-  /// commits sequenced after `snapshot_seq`, then logs all `ops` plus a
-  /// commit record and applies them under the writer mutex. The WAL
-  /// fsync (when configured) happens *outside* the mutex via SyncBatch,
-  /// so concurrent committers share one group fsync.
-  Status CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
-                   uint64_t snapshot_seq);
+  /// One committer's batch waiting in the commit queue.
+  struct Writer;
+
+  /// The one commit pipeline; every committed op enters here (API and
+  /// MQL auto-commit, session and explicit transactions, ImportDump).
+  /// Committers queue their batches; the batch at the front becomes
+  /// the leader and commits every batch queued at that moment as one
+  /// group (with group_commit off, every batch is its own group and
+  /// committers meet on writer_mu_ alone): first-committer-wins
+  /// validation against commits sequenced after each `snapshot_seq`,
+  /// NOW re-stamping, one WAL append per record, one fsync under
+  /// sync_wal, apply in queue order, then publication of the new (NOW,
+  /// commit sequence) pair. Validate, log, make durable, apply: a
+  /// refused batch writes nothing, and a failed append or fsync applies
+  /// nothing of the group. Followers wait on the queue, never on
+  /// writer_mu_, so they can join while the leader's fsync runs.
+  Status CommitBatch(uint64_t txn_id, std::vector<WalOp> ops,
+                     uint64_t snapshot_seq);
+
+  /// The leader's half of CommitBatch, under writer_mu_.
+  void CommitGroup(const std::vector<Writer*>& group);
+
+  /// Validates and NOW-stamps one batch of the group being committed
+  /// (`taken`: the keys of the batches ahead of it) and encodes its WAL
+  /// records, advancing the group's clock and op_seq on success.
+  Status PrepareBatch(Writer* w, const std::set<TxnWriteKey>& taken,
+                      Timestamp* clock, uint64_t* seq) const;
+
+  /// Runs `op` (a Transaction primitive) as a one-op transaction and
+  /// commits it, re-running it on a fresh snapshot after a lost
+  /// first-committer-wins race.
+  template <typename Op>
+  Status AutoCommit(const Op& op);
 
   /// Transaction::Abort's notification: unregisters the transaction
   /// from conflict tracking and emits the abort trace event.
@@ -515,12 +545,8 @@ class Database {
   /// trace as last_query_stats_.
   void FinalizeSelectTrace(SelectCursorContext* ctx);
 
-  /// Applies one logical operation to the stores (DML path and replay).
+  /// Applies one logical operation to the stores (commit and replay).
   Status ApplyOp(const WalOp& op);
-
-  /// Stamps the next op_seq onto `op`, appends it to the WAL (syncing if
-  /// configured), then applies it. A WAL failure poisons the database.
-  Status LogAndApply(WalOp op);
 
   /// Refuses mutations when the open is read-only or the instance has
   /// degraded (fail-stop after an I/O failure).
@@ -570,18 +596,6 @@ class Database {
 
   /// Persists the catalog atomically; poisons the database on failure.
   Status SaveCatalog();
-
-  /// Coerces a literal to the attribute's declared type (int -> double /
-  /// timestamp / id promotions; NULL re-typing).
-  static Result<Value> Coerce(const Value& v, AttrType target);
-
-  /// Bumps the clock past `from` so NOW stays monotone. Only writers
-  /// (serialized by writer_mu_) store; readers load concurrently.
-  void ObserveTimestamp(Timestamp from) {
-    if (from >= now_.load(std::memory_order_relaxed)) {
-      now_.store(from + 1, std::memory_order_release);
-    }
-  }
 
   std::string dir_;
   DatabaseOptions options_;
@@ -634,12 +648,23 @@ class Database {
   /// Query-path worker pool; null when options_.parallelism resolves
   /// to 1 (serial execution).
   std::unique_ptr<ThreadPool> query_pool_;
-  /// Serializes every mutation: auto-commit DML, transaction commits
-  /// (validation + append + apply; the fsync escapes it), DDL,
-  /// checkpoints, and maintenance. Reads never take it.
+  /// Serializes every mutation: the commit leader (validation, append,
+  /// fsync, apply), DDL, checkpoints, and maintenance. Reads and Begin()
+  /// never take it, nor do committers waiting in the queue.
   mutable std::mutex writer_mu_;
-  /// Commit clock, active-transaction registry, and the pruned
-  /// write-set log behind first-committer-wins validation.
+  /// Page contents carry no latch, so a commit group's apply excludes
+  /// the store reads of transaction validation, which now run beside
+  /// other commits (held exclusively by the leader while it applies,
+  /// shared by Transaction's overlay reads).
+  std::shared_mutex apply_mu_;
+  /// The commit queue (see CommitBatch); its front is the leader.
+  std::mutex queue_mu_;
+  std::deque<Writer*> writers_;
+  /// Batches per group fsync (group commit under sync_wal only).
+  Histogram group_commit_size_{{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}};
+  /// The valid-time clock and commit sequence (published together),
+  /// active-transaction registry, and the pruned write-set log behind
+  /// first-committer-wins validation.
   TxnManager txn_manager_;
   /// Liveness token handed to every Transaction as a weak_ptr; reset
   /// first thing in the destructor, so a Transaction that outlives this
@@ -647,7 +672,6 @@ class Database {
   std::shared_ptr<void> alive_token_ = std::make_shared<int>(0);
   /// The MQL session transaction (BEGIN;..COMMIT;), when one is open.
   std::unique_ptr<Transaction> session_txn_;
-  std::atomic<Timestamp> now_{1};
   /// Transaction ids are not persisted, so Recover() advances this past
   /// every txn id observed in the WAL: a fresh id may otherwise collide
   /// with an orphaned transaction's records still physically in the log

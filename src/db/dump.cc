@@ -49,7 +49,7 @@ Result<std::string> Database::Dump() {
   PutFixed32(&out, kDumpMagic);
   PutFixed32(&out, kDumpVersion);
   PutLengthPrefixed(&out, catalog_.Serialize());
-  PutVarsint64(&out, now_);
+  PutVarsint64(&out, Now());
 
   // Atom versions, grouped by type. Store scan order is a physical
   // artifact (heap order, cluster order, ...), so records are sorted by
@@ -115,6 +115,82 @@ Status ExportDump(Database* db, const std::string& path) {
   return WriteAll(path, bytes);
 }
 
+namespace {
+
+/// The id-preserving ops that rebuild one atom's history; `versions`
+/// are sorted by begin. A history whose versions are empty or overlap
+/// cannot have come from Dump() and is refused as Corruption.
+Status AtomHistoryOps(TypeId type, AtomId id,
+                      const std::vector<AtomVersion>& versions,
+                      std::vector<WalOp>* ops) {
+  Timestamp prev_end = kMinTimestamp;
+  for (size_t i = 0; i < versions.size(); ++i) {
+    const AtomVersion& v = versions[i];
+    if (v.valid.end <= v.valid.begin || (i > 0 && v.valid.begin < prev_end)) {
+      return Status::Corruption("dump: atom " + std::to_string(id) +
+                                " has an empty or overlapping version at " +
+                                TimestampToString(v.valid.begin));
+    }
+    WalOp op;
+    op.atom_id = id;
+    op.atom_type = type;
+    if (i > 0 && v.valid.begin != prev_end) {
+      // Gap: the previous version was closed by a delete.
+      op.type = WalOpType::kDeleteAtom;
+      op.valid_from = prev_end;
+      ops->push_back(op);
+    }
+    op.type = i > 0 && v.valid.begin == prev_end ? WalOpType::kUpdateAtom
+                                                 : WalOpType::kInsertAtom;
+    op.valid_from = v.valid.begin;
+    op.attrs = v.attrs;
+    ops->push_back(std::move(op));
+    prev_end = v.valid.end;
+  }
+  if (!versions.empty() && !versions.back().valid.open_ended()) {
+    WalOp del;
+    del.type = WalOpType::kDeleteAtom;
+    del.atom_id = id;
+    del.atom_type = type;
+    del.valid_from = prev_end;
+    ops->push_back(std::move(del));
+  }
+  return Status::OK();
+}
+
+/// The ops that rebuild one link pair's intervals (sorted); empty or
+/// overlapping intervals are refused as Corruption.
+Status LinkHistoryOps(LinkTypeId link, AtomId from, AtomId to,
+                      const std::vector<Interval>& intervals,
+                      std::vector<WalOp>* ops) {
+  Timestamp prev_end = kMinTimestamp;
+  for (size_t i = 0; i < intervals.size(); ++i) {
+    const Interval& valid = intervals[i];
+    if (valid.end <= valid.begin || (i > 0 && valid.begin < prev_end)) {
+      return Status::Corruption(
+          "dump: link " + std::to_string(from) + " -> " + std::to_string(to) +
+          " has an empty or overlapping interval at " +
+          TimestampToString(valid.begin));
+    }
+    WalOp op;
+    op.type = WalOpType::kConnect;
+    op.link_type = link;
+    op.from_id = from;
+    op.to_id = to;
+    op.valid_from = valid.begin;
+    ops->push_back(op);
+    if (!valid.open_ended()) {
+      op.type = WalOpType::kDisconnect;
+      op.valid_from = valid.end;
+      ops->push_back(op);
+    }
+    prev_end = valid.end;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status ImportDump(Database* db, const std::string& path) {
   if (!db->catalog_.AtomTypes().empty()) {
     return Status::InvalidArgument(
@@ -131,21 +207,22 @@ Status ImportDump(Database* db, const std::string& path) {
   }
   Slice catalog_bytes;
   TCOB_RETURN_NOT_OK(GetLengthPrefixed(&in, &catalog_bytes));
-  TCOB_ASSIGN_OR_RETURN(db->catalog_, Catalog::Deserialize(catalog_bytes));
-  TCOB_RETURN_NOT_OK(
-      db->catalog_.SaveToFile(db->env_, db->dir_ + "/catalog.tcob"));
+  TCOB_ASSIGN_OR_RETURN(Catalog catalog, Catalog::Deserialize(catalog_bytes));
   Timestamp clock;
   TCOB_RETURN_NOT_OK(GetVarsint64(&in, &clock));
 
-  // Atom histories: regroup per atom, sort, and replay as logical ops so
-  // WAL, indexes and watermarks are all maintained.
+  // The whole dump becomes id-preserving logical ops — atom histories
+  // regrouped per atom, link intervals per pair, each in time order — so
+  // WAL, indexes and watermarks are all maintained. Every history is
+  // checked first: a bad dump is refused before the target changes.
+  std::vector<WalOp> ops;
   uint32_t n_types;
   TCOB_RETURN_NOT_OK(GetVarint32(&in, &n_types));
   for (uint32_t s = 0; s < n_types; ++s) {
     uint32_t type_id;
     TCOB_RETURN_NOT_OK(GetVarint32(&in, &type_id));
     TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                          db->catalog_.GetAtomType(type_id));
+                          catalog.GetAtomType(type_id));
     std::vector<AttrType> schema = type->AttrTypes();
     uint64_t count;
     TCOB_RETURN_NOT_OK(GetVarint64(&in, &count));
@@ -159,43 +236,9 @@ Status ImportDump(Database* db, const std::string& path) {
                 [](const AtomVersion& a, const AtomVersion& b) {
                   return a.valid.begin < b.valid.begin;
                 });
-      Timestamp prev_end = kMinTimestamp;
-      for (size_t i = 0; i < versions.size(); ++i) {
-        const AtomVersion& v = versions[i];
-        WalOp op;
-        op.atom_id = id;
-        op.atom_type = type_id;
-        op.attrs = v.attrs;
-        if (i == 0 || v.valid.begin != prev_end) {
-          if (i > 0) {
-            // Gap: the previous version was closed by a delete.
-            WalOp del;
-            del.type = WalOpType::kDeleteAtom;
-            del.atom_id = id;
-            del.atom_type = type_id;
-            del.valid_from = prev_end;
-            TCOB_RETURN_NOT_OK(db->LogAndApply(del));
-          }
-          op.type = WalOpType::kInsertAtom;
-        } else {
-          op.type = WalOpType::kUpdateAtom;
-        }
-        op.valid_from = v.valid.begin;
-        TCOB_RETURN_NOT_OK(db->LogAndApply(op));
-        prev_end = v.valid.end;
-      }
-      if (!versions.back().valid.open_ended()) {
-        WalOp del;
-        del.type = WalOpType::kDeleteAtom;
-        del.atom_id = id;
-        del.atom_type = type_id;
-        del.valid_from = versions.back().valid.end;
-        TCOB_RETURN_NOT_OK(db->LogAndApply(del));
-      }
+      TCOB_RETURN_NOT_OK(AtomHistoryOps(type_id, id, versions, &ops));
     }
   }
-
-  // Link intervals, per pair in time order.
   uint32_t n_links;
   TCOB_RETURN_NOT_OK(GetVarint32(&in, &n_links));
   for (uint32_t s = 0; s < n_links; ++s) {
@@ -215,24 +258,20 @@ Status ImportDump(Database* db, const std::string& path) {
     }
     for (auto& [pair, intervals] : by_pair) {
       std::sort(intervals.begin(), intervals.end());
-      for (const Interval& valid : intervals) {
-        WalOp op;
-        op.type = WalOpType::kConnect;
-        op.link_type = link_id;
-        op.from_id = pair.first;
-        op.to_id = pair.second;
-        op.valid_from = valid.begin;
-        TCOB_RETURN_NOT_OK(db->LogAndApply(op));
-        if (!valid.open_ended()) {
-          op.type = WalOpType::kDisconnect;
-          op.valid_from = valid.end;
-          TCOB_RETURN_NOT_OK(db->LogAndApply(op));
-        }
-      }
+      TCOB_RETURN_NOT_OK(
+          LinkHistoryOps(link_id, pair.first, pair.second, intervals, &ops));
     }
   }
 
-  db->now_ = clock;
+  db->catalog_ = std::move(catalog);
+  TCOB_RETURN_NOT_OK(
+      db->catalog_.SaveToFile(db->env_, db->dir_ + "/catalog.tcob"));
+  // One batch through the commit pipeline: a crash mid-import recovers
+  // to all of the data or none of it.
+  const uint64_t txn_id = db->next_txn_id_.fetch_add(1);
+  const TxnSnapshot pinned = db->txn_manager_.BeginTxn(txn_id);
+  TCOB_RETURN_NOT_OK(db->CommitBatch(txn_id, std::move(ops), pinned.seq));
+  db->SetNow(clock);
   return db->Checkpoint();
 }
 

@@ -5,6 +5,83 @@
 
 namespace tcob {
 
+namespace {
+
+/// Coerces a literal to the attribute's declared type (int -> double /
+/// timestamp / id promotions; NULL re-typing).
+Result<Value> Coerce(const Value& v, AttrType target) {
+  if (v.is_null()) return Value::Null(target);
+  if (v.type() == target) return v;
+  if (v.type() == AttrType::kInt) {
+    switch (target) {
+      case AttrType::kDouble:
+        return Value::Double(static_cast<double>(v.AsInt()));
+      case AttrType::kTimestamp:
+        return Value::Time(v.AsInt());
+      case AttrType::kId:
+        return Value::Id(static_cast<AtomId>(v.AsInt()));
+      default:
+        break;
+    }
+  }
+  return Status::TypeError(std::string("cannot assign ") +
+                           AttrTypeName(v.type()) + " to " +
+                           AttrTypeName(target));
+}
+
+/// Coerces + positions named assignments against a type's schema;
+/// `base` supplies carried-over values for partial updates (nullptr
+/// means unlisted attributes become NULL).
+Result<std::vector<Value>> ResolveAssignments(
+    const AtomTypeDef& type,
+    const std::vector<std::pair<std::string, Value>>& assignments,
+    const std::vector<Value>* base) {
+  std::vector<Value> out;
+  out.reserve(type.attributes.size());
+  if (base != nullptr) {
+    out = *base;
+  } else {
+    for (const AttributeDef& attr : type.attributes) {
+      out.push_back(Value::Null(attr.type));
+    }
+  }
+  for (const auto& [name, value] : assignments) {
+    int idx = type.AttrIndex(name);
+    if (idx < 0) {
+      return Status::InvalidArgument("unknown attribute " + type.name + "." +
+                                     name);
+    }
+    TCOB_ASSIGN_OR_RETURN(out[idx],
+                          Coerce(value, type.attributes[idx].type));
+  }
+  return out;
+}
+
+WalOp AtomOp(WalOpType type, const AtomTypeDef& def, AtomId id,
+             Timestamp from, bool from_now) {
+  WalOp op;
+  op.type = type;
+  op.stamped_now = from_now;
+  op.atom_id = id;
+  op.atom_type = def.id;
+  op.valid_from = from;
+  return op;
+}
+
+WalOp LinkOp(WalOpType type, const LinkTypeDef& link, AtomId from_id,
+             AtomId to_id, Timestamp at, bool from_now) {
+  WalOp op;
+  op.type = type;
+  op.stamped_now = from_now;
+  op.link_type = link.id;
+  op.from_id = from_id;
+  op.to_id = to_id;
+  op.valid_from = at;
+  return op;
+}
+
+}  // namespace
+
 Transaction::~Transaction() {
   if (active_) Abort();
 }
@@ -48,58 +125,56 @@ void Transaction::Abort() {
   active_ = false;
 }
 
+void Transaction::Buffer(WalOp op) {
+  if (op.valid_from >= local_now_) local_now_ = op.valid_from + 1;
+  ops_.push_back(std::move(op));
+}
+
 Result<Transaction::AtomOverlay*> Transaction::OverlayFor(
-    const std::string& type_name, AtomId id, Timestamp as_of) {
-  auto it = atoms_.find(id);
+    const AtomTypeDef& type, AtomId id) {
+  const auto key = std::make_pair(type.id, id);
+  auto it = atoms_.find(key);
   if (it != atoms_.end()) return &it->second;
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        db_->catalog().GetAtomTypeByName(type_name));
   AtomOverlay overlay;
-  overlay.type = type->id;
-  Result<std::vector<AtomVersion>> versions =
-      db_->store()->GetVersions(*type, id, Interval::All());
-  if (versions.ok() && !versions.value().empty()) {
-    // Snapshot read: versions beginning after the snapshot were
-    // committed after Begin() and stay invisible; a version closed
-    // after the snapshot is still open as far as this transaction can
-    // see (the closing writer wins the conflict check if we collide).
-    std::vector<AtomVersion>& all = versions.value();
-    const AtomVersion* visible = nullptr;
-    for (const AtomVersion& v : all) {
-      if (v.valid.begin <= snapshot_) visible = &v;
+  std::shared_lock<std::shared_mutex> reading(db_->apply_mu_);
+  // Snapshot read: the version valid at the snapshot instant. Versions
+  // beginning after it were committed after Begin() and stay invisible;
+  // one closed after it is still open as far as this transaction can
+  // see (the closing writer wins the conflict check if we collide).
+  Result<std::optional<AtomVersion>> live =
+      db_->store()->GetAsOf(type, id, snapshot_);
+  if (!live.ok() && !live.status().IsNotFound()) return live.status();
+  if (live.ok() && live.value().has_value()) {
+    overlay.exists = true;
+    overlay.live = true;
+    overlay.live_begin = live.value()->valid.begin;
+    overlay.attrs = std::move(live.value()->attrs);
+  } else {
+    // Refusal path: only the whole history tells an unknown atom
+    // (NotFound) from one that is dead at the snapshot.
+    Result<std::vector<AtomVersion>> versions =
+        db_->store()->GetVersions(type, id, Interval::All());
+    if (!versions.ok() && !versions.status().IsNotFound()) {
+      return versions.status();
     }
-    if (visible != nullptr) {
-      const bool live_at_snapshot =
-          visible->valid.open_ended() || visible->valid.end > snapshot_;
-      overlay.exists = true;
-      overlay.live = live_at_snapshot;
-      overlay.live_begin = visible->valid.begin;
-      overlay.last_end = live_at_snapshot ? kMinTimestamp
-                                          : visible->valid.end;
-      overlay.attrs = visible->attrs;
+    if (versions.ok()) {
+      for (const AtomVersion& v : versions.value()) {
+        if (v.valid.begin <= snapshot_) overlay.exists = true;
+      }
     }
-  } else if (!versions.ok() && !versions.status().IsNotFound()) {
-    return versions.status();
   }
-  (void)as_of;
-  auto [pos, inserted] = atoms_.emplace(id, std::move(overlay));
-  (void)inserted;
-  return &pos->second;
+  return &atoms_.emplace(key, std::move(overlay)).first->second;
 }
 
 Result<Transaction::LinkOverlay*> Transaction::LinkOverlayFor(
-    const std::string& link_name, LinkTypeId link_id, AtomId from, AtomId to,
-    Timestamp as_of) {
-  (void)as_of;
-  auto key = std::make_tuple(link_id, from, to);
+    const LinkTypeDef& link, AtomId from, AtomId to) {
+  auto key = std::make_tuple(link.id, from, to);
   auto it = links_.find(key);
   if (it != links_.end()) return &it->second;
-  TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
-                        db_->catalog().GetLinkTypeByName(link_name));
   LinkOverlay overlay;
-  overlay.initialized_from_store = true;
+  std::shared_lock<std::shared_mutex> reading(db_->apply_mu_);
   TCOB_ASSIGN_OR_RETURN(
-      auto spans, db_->links()->NeighborsIn(*link, from, /*forward=*/true,
+      auto spans, db_->links()->NeighborsIn(link, from, /*forward=*/true,
                                             Interval::All()));
   for (const auto& [other, valid] : spans) {
     if (other != to) continue;
@@ -114,9 +189,7 @@ Result<Transaction::LinkOverlay*> Transaction::LinkOverlayFor(
       overlay.last_end = valid.end;
     }
   }
-  auto [pos, inserted] = links_.emplace(key, overlay);
-  (void)inserted;
-  return &pos->second;
+  return &links_.emplace(key, overlay).first->second;
 }
 
 Result<AtomId> Transaction::InsertAtom(
@@ -127,28 +200,18 @@ Result<AtomId> Transaction::InsertAtom(
   if (from_now) from = local_now_;
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                         db_->catalog().GetAtomTypeByName(type_name));
-  TCOB_ASSIGN_OR_RETURN(
-      std::vector<Value> values,
-      Database::ResolveAssignmentsFor(*type, assignments, nullptr));
+  TCOB_ASSIGN_OR_RETURN(std::vector<Value> values,
+                        ResolveAssignments(*type, assignments, nullptr));
   AtomId id = db_->AllocateAtomId();
-  AtomOverlay overlay;
-  overlay.type = type->id;
+  AtomOverlay& overlay = atoms_[{type->id, id}];
   overlay.exists = true;
   overlay.live = true;
   overlay.live_begin = from;
   overlay.attrs = values;
-  atoms_[id] = std::move(overlay);
 
-  WalOp op;
-  op.type = WalOpType::kInsertAtom;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
+  WalOp op = AtomOp(WalOpType::kInsertAtom, *type, id, from, from_now);
   op.attrs = std::move(values);
-  ops_.push_back(std::move(op));
-  ObserveLocal(from);
+  Buffer(std::move(op));
   return id;
 }
 
@@ -160,8 +223,7 @@ Status Transaction::UpdateAtom(
   if (from_now) from = local_now_;
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                         db_->catalog().GetAtomTypeByName(type_name));
-  TCOB_ASSIGN_OR_RETURN(AtomOverlay * overlay,
-                        OverlayFor(type_name, id, from));
+  TCOB_ASSIGN_OR_RETURN(AtomOverlay * overlay, OverlayFor(*type, id));
   if (!overlay->exists) {
     return Status::NotFound("update of unknown atom " + std::to_string(id));
   }
@@ -173,21 +235,14 @@ Status Transaction::UpdateAtom(
         "update must be after the live version's begin");
   }
   TCOB_ASSIGN_OR_RETURN(std::vector<Value> values,
-                        Database::ResolveAssignmentsFor(*type, assignments,
-                                                        &overlay->attrs));
+                        ResolveAssignments(*type, assignments,
+                                           &overlay->attrs));
   overlay->live_begin = from;
   overlay->attrs = values;
 
-  WalOp op;
-  op.type = WalOpType::kUpdateAtom;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
+  WalOp op = AtomOp(WalOpType::kUpdateAtom, *type, id, from, from_now);
   op.attrs = std::move(values);
-  ops_.push_back(std::move(op));
-  ObserveLocal(from);
+  Buffer(std::move(op));
   return Status::OK();
 }
 
@@ -197,8 +252,7 @@ Status Transaction::DeleteAtom(const std::string& type_name, AtomId id,
   if (from_now) from = local_now_;
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                         db_->catalog().GetAtomTypeByName(type_name));
-  TCOB_ASSIGN_OR_RETURN(AtomOverlay * overlay,
-                        OverlayFor(type_name, id, from));
+  TCOB_ASSIGN_OR_RETURN(AtomOverlay * overlay, OverlayFor(*type, id));
   if (!overlay->exists) {
     return Status::NotFound("delete of unknown atom " + std::to_string(id));
   }
@@ -210,17 +264,7 @@ Status Transaction::DeleteAtom(const std::string& type_name, AtomId id,
         "delete must be after the live version's begin");
   }
   overlay->live = false;
-  overlay->last_end = from;
-
-  WalOp op;
-  op.type = WalOpType::kDeleteAtom;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
-  ops_.push_back(std::move(op));
-  ObserveLocal(from);
+  Buffer(AtomOp(WalOpType::kDeleteAtom, *type, id, from, from_now));
   return Status::OK();
 }
 
@@ -230,9 +274,8 @@ Status Transaction::Connect(const std::string& link_name, AtomId from_id,
   if (from_now) at = local_now_;
   TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
                         db_->catalog().GetLinkTypeByName(link_name));
-  TCOB_ASSIGN_OR_RETURN(
-      LinkOverlay * overlay,
-      LinkOverlayFor(link_name, link->id, from_id, to_id, at));
+  TCOB_ASSIGN_OR_RETURN(LinkOverlay * overlay,
+                        LinkOverlayFor(*link, from_id, to_id));
   if (overlay->open) {
     return Status::AlreadyExists("link already connected");
   }
@@ -242,17 +285,7 @@ Status Transaction::Connect(const std::string& link_name, AtomId from_id,
   }
   overlay->open = true;
   overlay->open_begin = at;
-
-  WalOp op;
-  op.type = WalOpType::kConnect;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
-  op.link_type = link->id;
-  op.from_id = from_id;
-  op.to_id = to_id;
-  op.valid_from = at;
-  ops_.push_back(std::move(op));
-  ObserveLocal(at);
+  Buffer(LinkOp(WalOpType::kConnect, *link, from_id, to_id, at, from_now));
   return Status::OK();
 }
 
@@ -262,9 +295,8 @@ Status Transaction::Disconnect(const std::string& link_name, AtomId from_id,
   if (from_now) at = local_now_;
   TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
                         db_->catalog().GetLinkTypeByName(link_name));
-  TCOB_ASSIGN_OR_RETURN(
-      LinkOverlay * overlay,
-      LinkOverlayFor(link_name, link->id, from_id, to_id, at));
+  TCOB_ASSIGN_OR_RETURN(LinkOverlay * overlay,
+                        LinkOverlayFor(*link, from_id, to_id));
   if (!overlay->open) {
     return Status::NotFound("no open connection to disconnect");
   }
@@ -273,23 +305,14 @@ Status Transaction::Disconnect(const std::string& link_name, AtomId from_id,
   }
   overlay->open = false;
   overlay->last_end = at;
-
-  WalOp op;
-  op.type = WalOpType::kDisconnect;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
-  op.link_type = link->id;
-  op.from_id = from_id;
-  op.to_id = to_id;
-  op.valid_from = at;
-  ops_.push_back(std::move(op));
-  ObserveLocal(at);
+  Buffer(LinkOp(WalOpType::kDisconnect, *link, from_id, to_id, at, from_now));
   return Status::OK();
 }
 
 Status Transaction::Commit() {
   TCOB_RETURN_NOT_OK(CheckUsable());
-  Status committed = db_->CommitOps(txn_id_, ops_, snapshot_seq_);
+  Status committed =
+      db_->CommitBatch(txn_id_, std::move(ops_), snapshot_seq_);
   active_ = false;
   ops_.clear();
   atoms_.clear();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/schema.h"
 #include "common/result.h"
 #include "record/value.h"
 #include "time/timestamp.h"
@@ -18,23 +19,25 @@ class Database;
 /// An explicit multi-statement transaction under snapshot isolation.
 ///
 /// Begin() captures a snapshot: the valid-time instant just before the
-/// database's NOW and the commit sequence current at that moment.
-/// Operations are validated eagerly against that snapshot (plus this
-/// transaction's own pending effects, via the overlays below) and
-/// buffered; nothing touches the stores or the WAL until Commit.
-/// VALID FROM NOW operations carry a provisional stamp from the
+/// NOW that the newest commit group published, and that group's commit
+/// sequence. Operations are validated eagerly against that snapshot
+/// (plus this transaction's own pending effects, via the overlays
+/// below) and buffered; nothing touches the stores or the WAL until
+/// Commit. VALID FROM NOW operations carry a provisional stamp from the
 /// transaction-local clock while buffered and are re-stamped to the
-/// commit instant inside Commit's critical section, so a commit can
-/// never land at or before a snapshot pinned while it was buffering.
+/// commit instant by the commit group's leader, so a commit can never
+/// land at or before a snapshot pinned while it was buffering.
 ///
-/// Commit runs first-committer-wins validation: if any transaction (or
-/// auto-committed statement) that committed after this snapshot wrote
-/// an atom or link pair this transaction also writes, Commit aborts
-/// with TxnConflict and the other writer's effects stand. Otherwise
-/// every operation plus a commit record is appended to the WAL and
-/// applied; durability is one group fsync shared with concurrent
-/// committers (see WriteAheadLog::SyncBatch). Abort discards the
-/// buffer without a trace.
+/// Commit hands the buffer to the database's one commit pipeline
+/// (Database::CommitBatch), which every write takes — auto-committed
+/// statements are one-op transactions. It runs first-committer-wins
+/// validation: if any transaction that committed after this snapshot
+/// wrote an atom or link pair this transaction also writes, Commit
+/// aborts with TxnConflict and the other writer's effects stand.
+/// Otherwise the operations are logged (n records plus a commit record;
+/// a single op is one self-committed record), made durable by one
+/// fsync shared with the other batches of its commit group, and only
+/// then applied. Abort discards the buffer without a trace.
 ///
 /// Reads through the Database during an open transaction see committed
 /// state only; SELECTs routed through the session transaction pin its
@@ -85,9 +88,9 @@ class Transaction {
                     AtomId to_id, Timestamp at, bool from_now = false);
 
   /// Validates against commits since the snapshot (TxnConflict if a
-  /// write-write overlap lost the race), then logs and applies the
-  /// buffered operations atomically. Win or lose, the transaction is
-  /// finished afterwards.
+  /// write-write overlap lost the race), then logs the buffered
+  /// operations, makes them durable and applies them atomically. Win or
+  /// lose, the transaction is finished afterwards.
   Status Commit();
 
   /// Discards the buffered operations.
@@ -106,8 +109,8 @@ class Transaction {
   /// It starts just after the snapshot and advances like the database
   /// clock (a buffered stamp pulls it past itself), but is *pinned*
   /// against concurrent committers — the definitive stamps of the
-  /// NOW-relative operations are assigned at Commit, under the writer
-  /// mutex (see Database::CommitOps).
+  /// NOW-relative operations are assigned by the commit group's leader
+  /// (see Database::CommitBatch).
   Timestamp local_now() const { return local_now_; }
 
  private:
@@ -133,8 +136,6 @@ class Transaction {
     bool exists = false;  // has any version (committed or pending)
     bool live = false;
     Timestamp live_begin = kMinTimestamp;
-    Timestamp last_end = kMinTimestamp;  // end of newest closed version
-    TypeId type = kInvalidTypeId;
     std::vector<Value> attrs;  // of the live version
   };
 
@@ -143,20 +144,15 @@ class Transaction {
     bool open = false;
     Timestamp open_begin = kMinTimestamp;
     Timestamp last_end = kMinTimestamp;
-    bool initialized_from_store = false;
   };
 
-  /// Pulls the transaction-local clock past a buffered stamp (the
-  /// per-transaction mirror of Database::ObserveTimestamp).
-  void ObserveLocal(Timestamp from) {
-    if (from >= local_now_) local_now_ = from + 1;
-  }
+  Result<AtomOverlay*> OverlayFor(const AtomTypeDef& type, AtomId id);
+  Result<LinkOverlay*> LinkOverlayFor(const LinkTypeDef& link, AtomId from,
+                                      AtomId to);
 
-  Result<AtomOverlay*> OverlayFor(const std::string& type_name, AtomId id,
-                                  Timestamp as_of);
-  Result<LinkOverlay*> LinkOverlayFor(const std::string& link_name,
-                                      LinkTypeId link_id, AtomId from,
-                                      AtomId to, Timestamp as_of);
+  /// Buffers `op` and pulls the transaction-local clock past its stamp
+  /// (the per-transaction mirror of the commit clock's rule).
+  void Buffer(WalOp op);
 
   Database* db_;
   /// Expires when the owning Database is destroyed; checked before
@@ -170,7 +166,9 @@ class Transaction {
   Timestamp local_now_ = kMinTimestamp;
   bool active_ = true;
   std::vector<WalOp> ops_;
-  std::map<AtomId, AtomOverlay> atoms_;
+  /// Keyed by (type, atom): a surrogate written under another type is
+  /// unknown to this one, exactly as in the per-type stores.
+  std::map<std::pair<TypeId, AtomId>, AtomOverlay> atoms_;
   std::map<std::tuple<LinkTypeId, AtomId, AtomId>, LinkOverlay> links_;
 };
 

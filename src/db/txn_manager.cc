@@ -28,10 +28,18 @@ TxnWriteKey WriteKeyForOp(const WalOp& op) {
   return key;
 }
 
-uint64_t TxnManager::BeginTxn(uint64_t txn_id) {
+Status WriteConflict(const TxnWriteKey& key) {
+  const char* what =
+      key.kind == TxnWriteKey::Kind::kAtom ? "atom " : "link type ";
+  return Status::TxnConflict("write-write conflict on " + std::string(what) +
+                             std::to_string(key.a) +
+                             " committed after this transaction's snapshot");
+}
+
+TxnSnapshot TxnManager::BeginTxn(uint64_t txn_id) {
   std::lock_guard<std::mutex> lk(mu_);
   active_[txn_id] = commit_seq_;
-  return commit_seq_;
+  return TxnSnapshot{now_.load(std::memory_order_relaxed), commit_seq_};
 }
 
 void TxnManager::EndTxn(uint64_t txn_id) {
@@ -49,54 +57,44 @@ Status TxnManager::CheckConflict(
     if (it->seq <= snapshot_seq) break;
     for (const TxnWriteKey& mine : keys) {
       if (std::binary_search(it->keys.begin(), it->keys.end(), mine)) {
-        const char* what =
-            mine.kind == TxnWriteKey::Kind::kAtom ? "atom " : "link type ";
-        return Status::TxnConflict(
-            "write-write conflict on " + std::string(what) +
-            std::to_string(mine.a) +
-            " committed after this transaction's snapshot");
+        return WriteConflict(mine);
       }
     }
   }
   return Status::OK();
 }
 
-uint64_t TxnManager::Commit(uint64_t txn_id, std::vector<TxnWriteKey> keys) {
+void TxnManager::Publish(Timestamp now, std::vector<TxnOutcome>* outcomes) {
   std::lock_guard<std::mutex> lk(mu_);
-  active_.erase(txn_id);
-  return RecordLocked(std::move(keys));
+  for (TxnOutcome& outcome : *outcomes) {
+    active_.erase(outcome.txn_id);
+    if (!outcome.committed) continue;
+    const uint64_t seq = ++commit_seq_;
+    // Write-sets are only conflict sources while a transaction with an
+    // older snapshot is still open.
+    if (!active_.empty()) {
+      std::sort(outcome.keys.begin(), outcome.keys.end());
+      log_.push_back(CommitEntry{seq, std::move(outcome.keys)});
+    }
+  }
+  PruneLocked();
+  AdvanceNowLocked(now);
 }
 
-uint64_t TxnManager::CommitAuto(const TxnWriteKey& key) {
+void TxnManager::AdvanceNow(Timestamp t) {
   std::lock_guard<std::mutex> lk(mu_);
-  return RecordLocked({key});
+  AdvanceNowLocked(t);
 }
 
-uint64_t TxnManager::commit_seq() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return commit_seq_;
+void TxnManager::AdvanceNowLocked(Timestamp t) {
+  if (t > now_.load(std::memory_order_relaxed)) {
+    now_.store(t, std::memory_order_release);
+  }
 }
 
 size_t TxnManager::active_txns() const {
   std::lock_guard<std::mutex> lk(mu_);
   return active_.size();
-}
-
-size_t TxnManager::retained_commits() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return log_.size();
-}
-
-uint64_t TxnManager::RecordLocked(std::vector<TxnWriteKey> keys) {
-  const uint64_t seq = ++commit_seq_;
-  // Write-sets are only conflict sources while a transaction with an
-  // older snapshot is still open.
-  if (!active_.empty()) {
-    std::sort(keys.begin(), keys.end());
-    log_.push_back(CommitEntry{seq, std::move(keys)});
-  }
-  PruneLocked();
-  return seq;
 }
 
 void TxnManager::PruneLocked() {

@@ -1,6 +1,7 @@
 #ifndef TCOB_DB_TXN_MANAGER_H_
 #define TCOB_DB_TXN_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "time/timestamp.h"
 #include "wal/log_record.h"
 
 namespace tcob {
@@ -35,27 +37,45 @@ struct TxnWriteKey {
 /// records carry no key and must not be passed here).
 TxnWriteKey WriteKeyForOp(const WalOp& op);
 
-/// Snapshot-isolation bookkeeping for the Database: a commit clock,
-/// the set of active transactions (with the commit sequence each one
-/// snapshots), and a pruned log of committed write-sets used for
+/// The TxnConflict status of a first-committer-wins loss on `key`.
+Status WriteConflict(const TxnWriteKey& key);
+
+/// What a transaction pins at Begin(): the valid-time NOW and the
+/// commit sequence that the newest commit group published together.
+struct TxnSnapshot {
+  Timestamp now = 1;
+  uint64_t seq = 0;
+};
+
+/// One transaction's fate in a published commit group.
+struct TxnOutcome {
+  uint64_t txn_id = 0;
+  bool committed = false;
+  std::vector<TxnWriteKey> keys;
+};
+
+/// Snapshot-isolation bookkeeping for the Database: the valid-time
+/// clock and the commit sequence (published together by each commit
+/// group), the set of active transactions with the pair each one
+/// pinned, and a pruned log of committed write-sets used for
 /// first-committer-wins validation.
 ///
 /// A transaction beginning at commit sequence S conflicts with exactly
 /// the commits sequenced after S that wrote a key it also writes; the
 /// first committer wins and the later one aborts with TxnConflict.
-/// Auto-committed statements participate as single-key commits, so an
-/// open transaction cannot silently overwrite one.
+/// Auto-committed statements are one-op transactions, so an open
+/// transaction cannot silently overwrite one.
 ///
-/// Thread-safe: Begin/End run from any thread, Check/Commit from the
-/// Database's writer path; all take an internal mutex.
+/// Thread-safe: every method takes an internal mutex except now(),
+/// which is a lock-free load for readers.
 class TxnManager {
  public:
-  /// Registers `txn_id` as active; returns the commit sequence its
-  /// snapshot covers (every commit up to and including it is visible).
-  uint64_t BeginTxn(uint64_t txn_id);
+  /// Registers `txn_id` as active; returns the published pair its
+  /// snapshot pins (every commit up to and including `seq` is visible).
+  TxnSnapshot BeginTxn(uint64_t txn_id);
 
-  /// Unregisters `txn_id` (abort, conflict loss, or a write-free
-  /// commit) and prunes log entries no remaining snapshot can reach.
+  /// Unregisters `txn_id` (abort, or a write-free commit) and prunes
+  /// log entries no remaining snapshot can reach.
   void EndTxn(uint64_t txn_id);
 
   /// First-committer-wins validation: TxnConflict iff any commit
@@ -63,23 +83,19 @@ class TxnManager {
   Status CheckConflict(uint64_t snapshot_seq,
                        const std::vector<TxnWriteKey>& keys) const;
 
-  /// Records a successful commit of `keys`, unregisters the
-  /// transaction, and prunes. Returns the assigned commit sequence.
-  uint64_t Commit(uint64_t txn_id, std::vector<TxnWriteKey> keys);
+  /// Publishes one commit group: records the write-set of every
+  /// committed member in group order (one commit sequence each),
+  /// unregisters every member, and advances NOW to `now` — under one
+  /// lock, so BeginTxn pins the whole group or none of it.
+  void Publish(Timestamp now, std::vector<TxnOutcome>* outcomes);
 
-  /// Records an auto-committed statement's single-key write-set (it
-  /// was never registered as an active transaction).
-  uint64_t CommitAuto(const TxnWriteKey& key);
-
-  /// The sequence of the newest recorded commit (0 = none yet).
-  uint64_t commit_seq() const;
+  /// The valid-time NOW (lock-free; see Database::Now()).
+  Timestamp now() const { return now_.load(std::memory_order_acquire); }
+  /// Moves NOW forward to `t`; never backwards (see Database::SetNow).
+  void AdvanceNow(Timestamp t);
 
   /// Number of currently registered transactions.
   size_t active_txns() const;
-
-  /// Number of write-sets currently retained for validation
-  /// (introspection: shrinks to zero whenever no transaction is open).
-  size_t retained_commits() const;
 
  private:
   /// One validated commit: its sequence and what it wrote (sorted).
@@ -88,10 +104,12 @@ class TxnManager {
     std::vector<TxnWriteKey> keys;
   };
 
-  uint64_t RecordLocked(std::vector<TxnWriteKey> keys);
   void PruneLocked();
+  void AdvanceNowLocked(Timestamp t);
 
   mutable std::mutex mu_;
+  /// Written only under mu_, so a BeginTxn pins a matching pair.
+  std::atomic<Timestamp> now_{1};
   uint64_t commit_seq_ = 0;
   /// txn id -> snapshot commit sequence.
   std::map<uint64_t, uint64_t> active_;

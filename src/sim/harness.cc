@@ -55,14 +55,21 @@ struct TxnSlot {
 };
 
 /// A possibly-durable commit group for crash reconciliation: `seqs` op
-/// sequences (n ops + 1 commit record for a transaction, 1 for an
-/// auto-committed statement). sync_wal means an acked group is durable,
+/// sequences (see SeqsFor). sync_wal means an acked group is durable,
 /// so after a cut the recovered prefix is exactly `acked` or
 /// `acked + seqs` — a commit group is all-or-nothing.
 struct PendingCommit {
   std::vector<ResolvedOp> ops;
   uint64_t seqs = 0;
+  /// An explicit transaction's COMMIT (vs an auto-committed statement,
+  /// whose insert surrogate is only predicted).
+  bool txn = false;
 };
+
+/// Op sequences a committed batch of `n` ops consumes: one
+/// self-committed record for a single op, n records plus the commit
+/// record otherwise, none for an empty commit.
+uint64_t SeqsFor(size_t n) { return n <= 1 ? n : n + 1; }
 
 TxnWriteKey AtomKey(AtomId id) {
   TxnWriteKey k;
@@ -119,6 +126,7 @@ struct Instance {
 
   uint64_t cuts_fired = 0;
   uint64_t skipped_ops = 0;
+  uint64_t refused_writes = 0;
   uint64_t queries_run = 0;
   uint64_t queries_compared = 0;
   uint64_t queries_governed = 0;
@@ -414,15 +422,14 @@ std::optional<std::string> HandleCrash(Instance* inst,
   uint64_t recovered = inst->db->applied_op_seq();
   if (recovered == inst->acked) {
     // The in-flight commit group (if any) did not survive. A lost
-    // multi-op group was a transaction whose slot is already closed, so
-    // DiscardSlots above did not count it.
-    if (pending != nullptr && pending->seqs > 1) ++inst->txns_aborted;
+    // transaction's slot is already closed, so DiscardSlots above did
+    // not count it.
+    if (pending != nullptr && pending->txn) ++inst->txns_aborted;
   } else if (pending != nullptr && pending->seqs > 0 &&
              recovered == inst->acked + pending->seqs) {
     // The in-flight commit group turned out durable: all or nothing.
     std::vector<ResolvedOp> ops = pending->ops;
-    if (pending->seqs == 1 && ops.size() == 1 &&
-        ops[0].kind == SimOpKind::kInsert) {
+    if (!pending->txn && ops[0].kind == SimOpKind::kInsert) {
       // An auto-committed insert's surrogate was only predicted (the
       // interval may be wide after an uncertain checkpoint). The insert
       // is the newest allocation the recovered catalog replayed, so the
@@ -440,7 +447,7 @@ std::optional<std::string> HandleCrash(Instance* inst,
     RecordCommit(inst, std::move(keys));
     for (const ResolvedOp& rop : ops) ApplyResolved(inst, rop);
     inst->acked = recovered;
-    if (pending->seqs > 1) ++inst->txns_committed;
+    if (pending->txn) ++inst->txns_committed;
   } else {
     return "recovered op count " + std::to_string(recovered) +
            " outside {acked=" + std::to_string(inst->acked) +
@@ -464,6 +471,27 @@ std::optional<std::string> FailOrCrash(Instance* inst, const Status& s,
                                        const char* what) {
   if (inst->env.cut_fired()) return HandleCrash(inst, pending);
   return std::string(what) + ": " + s.ToString();
+}
+
+/// A write the model says must fail: the database has to refuse it with
+/// a validation status (InvalidArgument, NotFound or AlreadyExists),
+/// logging and applying nothing — the caller leaves the model as it is,
+/// and the op-seq invariant proves no sequence was consumed. A cut that
+/// fires during the validation reads routes to crash recovery with no
+/// pending group.
+std::optional<std::string> ExpectRefused(Instance* inst, const Status& s,
+                                         const char* what) {
+  if (s.ok()) {
+    return std::string(what) + " of an invalid target unexpectedly succeeded";
+  }
+  if (!s.IsInvalidArgument() && !s.IsNotFound() && !s.IsAlreadyExists()) {
+    return FailOrCrash(inst, s, nullptr,
+                       (std::string("invalid ") + what +
+                        " (expected a validation refusal)")
+                           .c_str());
+  }
+  ++inst->refused_writes;
+  return std::nullopt;
 }
 
 /// Re-runs a successfully compared query through Database::Query and
@@ -749,42 +777,31 @@ std::optional<std::string> BufferTxnOp(Instance* inst, TxnSlot* slot,
       slot->resolved.push_back(std::move(rop));
       break;
     }
-    case SimOpKind::kUpdate: {
-      ResolvedOp rop = ResolveDml(*inst, slot, op);
-      bool valid = slot->overlay->CanUpdate(op.type_pos, rop.atom, op.at);
-      Status s = slot->txn->UpdateAtom(schema.atom_types[op.type_pos].name,
-                                       rop.atom, NamedAssignments(schema, op),
-                                       op.at);
-      if (valid) {
-        if (!s.ok()) return FailOrCrash(inst, s, nullptr, "txn update");
-        slot->overlay->UpdateAtom(op.type_pos, rop.atom, op.set, op.at);
-        slot->keys.push_back(AtomKey(rop.atom));
-        slot->resolved.push_back(std::move(rop));
-      } else {
-        if (s.ok()) {
-          return "buffered update of invalid target #" +
-                 std::to_string(rop.atom) + " unexpectedly succeeded";
-        }
-        if (!s.IsInvalidArgument() && !s.IsNotFound()) {
-          return FailOrCrash(
-              inst, s, nullptr,
-              "invalid buffered update (expected InvalidArgument/NotFound)");
-        }
-      }
-      break;
-    }
+    case SimOpKind::kUpdate:
     case SimOpKind::kDelete: {
       ResolvedOp rop = ResolveDml(*inst, slot, op);
-      // Deletes validate eagerly inside a transaction too, but the
-      // harness keeps the auto path's discipline: skip invalid ones.
-      if (!slot->overlay->CanDelete(op.type_pos, rop.atom, op.at)) {
-        ++inst->skipped_ops;
-        break;
+      const bool update = op.kind == SimOpKind::kUpdate;
+      const std::string& type = schema.atom_types[op.type_pos].name;
+      const bool valid =
+          update ? slot->overlay->CanUpdate(op.type_pos, rop.atom, op.at)
+                 : slot->overlay->CanDelete(op.type_pos, rop.atom, op.at);
+      Status s = update ? slot->txn->UpdateAtom(type, rop.atom,
+                                                NamedAssignments(schema, op),
+                                                op.at)
+                        : slot->txn->DeleteAtom(type, rop.atom, op.at);
+      if (!valid) {
+        return ExpectRefused(inst, s,
+                             update ? "buffered update" : "buffered delete");
       }
-      Status s = slot->txn->DeleteAtom(schema.atom_types[op.type_pos].name,
-                                       rop.atom, op.at);
-      if (!s.ok()) return FailOrCrash(inst, s, nullptr, "txn delete");
-      slot->overlay->DeleteAtom(op.type_pos, rop.atom, op.at);
+      if (!s.ok()) {
+        return FailOrCrash(inst, s, nullptr,
+                           update ? "txn update" : "txn delete");
+      }
+      if (update) {
+        slot->overlay->UpdateAtom(op.type_pos, rop.atom, op.set, op.at);
+      } else {
+        slot->overlay->DeleteAtom(op.type_pos, rop.atom, op.at);
+      }
       slot->keys.push_back(AtomKey(rop.atom));
       slot->resolved.push_back(std::move(rop));
       break;
@@ -797,14 +814,14 @@ std::optional<std::string> BufferTxnOp(Instance* inst, TxnSlot* slot,
           connect ? slot->overlay->CanConnect(op.link_pos, rop.from, rop.to)
                   : slot->overlay->CanDisconnect(op.link_pos, rop.from,
                                                  rop.to);
-      if (!valid) {
-        ++inst->skipped_ops;
-        break;
-      }
       const std::string& link = schema.link_types[op.link_pos].name;
       Status s = connect
                      ? slot->txn->Connect(link, rop.from, rop.to, op.at)
                      : slot->txn->Disconnect(link, rop.from, rop.to, op.at);
+      if (!valid) {
+        return ExpectRefused(
+            inst, s, connect ? "buffered connect" : "buffered disconnect");
+      }
       if (!s.ok()) {
         return FailOrCrash(inst, s, nullptr,
                            connect ? "txn connect" : "txn disconnect");
@@ -964,81 +981,50 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
       break;
     }
     case SimOpKind::kUpdate:
-    case SimOpKind::kBadUpdate: {
-      ResolvedOp rop = ResolveDml(*inst, nullptr, op);
-      bool valid = inst->model.CanUpdate(op.type_pos, rop.atom, op.at);
-      Status s = inst->db->UpdateAtom(schema.atom_types[op.type_pos].name,
-                                      rop.atom, NamedAssignments(schema, op),
-                                      op.at);
-      if (valid) {
-        if (!s.ok()) {
-          PendingCommit pending;
-          pending.ops.push_back(rop);
-          pending.seqs = 1;
-          return FailOrCrash(inst, s, &pending, "update");
-        }
-        RecordCommit(inst, {AtomKey(rop.atom)});
-        ApplyResolved(inst, rop);
-        ++inst->acked;
-      } else {
-        if (s.ok()) {
-          return "update of invalid target #" + std::to_string(rop.atom) +
-                 " unexpectedly succeeded";
-        }
-        // NotFound when the typed store holds no versions for the id,
-        // InvalidArgument when versions exist but none is current.
-        if (!s.IsInvalidArgument() && !s.IsNotFound()) {
-          return FailOrCrash(
-              inst, s, nullptr,
-              "invalid update (expected InvalidArgument or NotFound)");
-        }
-      }
-      break;
-    }
-    case SimOpKind::kDelete: {
-      ResolvedOp rop = ResolveDml(*inst, nullptr, op);
-      // Deletes are log-then-apply (no prevalidation): issuing an
-      // invalid one would poison the instance, so skip it instead.
-      if (!inst->model.CanDelete(op.type_pos, rop.atom, op.at)) {
-        ++inst->skipped_ops;
-        break;
-      }
-      Status s = inst->db->DeleteAtom(schema.atom_types[op.type_pos].name,
-                                      rop.atom, op.at);
-      if (!s.ok()) {
-        PendingCommit pending;
-        pending.ops.push_back(rop);
-        pending.seqs = 1;
-        return FailOrCrash(inst, s, &pending, "delete");
-      }
-      RecordCommit(inst, {AtomKey(rop.atom)});
-      ApplyResolved(inst, rop);
-      ++inst->acked;
-      break;
-    }
+    case SimOpKind::kBadUpdate:
+    case SimOpKind::kDelete:
     case SimOpKind::kConnect:
     case SimOpKind::kDisconnect: {
+      // Every write is issued, valid or not: an auto-commit statement is
+      // a one-op transaction, validated before anything is logged, so
+      // an invalid one is refused cleanly (and, under sync_wal and a
+      // later power cut, leaves nothing that could fail a reopen).
       ResolvedOp rop = ResolveDml(*inst, nullptr, op);
-      bool connect = op.kind == SimOpKind::kConnect;
-      bool valid =
-          connect ? inst->model.CanConnect(op.link_pos, rop.from, rop.to)
-                  : inst->model.CanDisconnect(op.link_pos, rop.from, rop.to);
-      if (!valid) {  // log-then-apply, same reasoning as delete
-        ++inst->skipped_ops;
-        break;
+      bool valid = false;
+      Status s;
+      const char* what = "update";
+      if (op.kind == SimOpKind::kConnect ||
+          op.kind == SimOpKind::kDisconnect) {
+        const std::string& link = schema.link_types[op.link_pos].name;
+        if (op.kind == SimOpKind::kConnect) {
+          what = "connect";
+          valid = inst->model.CanConnect(op.link_pos, rop.from, rop.to);
+          s = inst->db->Connect(link, rop.from, rop.to, op.at);
+        } else {
+          what = "disconnect";
+          valid = inst->model.CanDisconnect(op.link_pos, rop.from, rop.to);
+          s = inst->db->Disconnect(link, rop.from, rop.to, op.at);
+        }
+      } else {
+        const std::string& type = schema.atom_types[op.type_pos].name;
+        if (op.kind == SimOpKind::kDelete) {
+          what = "delete";
+          valid = inst->model.CanDelete(op.type_pos, rop.atom, op.at);
+          s = inst->db->DeleteAtom(type, rop.atom, op.at);
+        } else {
+          valid = inst->model.CanUpdate(op.type_pos, rop.atom, op.at);
+          s = inst->db->UpdateAtom(type, rop.atom,
+                                   NamedAssignments(schema, op), op.at);
+        }
       }
-      const std::string& link = schema.link_types[op.link_pos].name;
-      Status s = connect ? inst->db->Connect(link, rop.from, rop.to, op.at)
-                         : inst->db->Disconnect(link, rop.from, rop.to,
-                                                op.at);
+      if (!valid) return ExpectRefused(inst, s, what);
       if (!s.ok()) {
         PendingCommit pending;
         pending.ops.push_back(rop);
         pending.seqs = 1;
-        return FailOrCrash(inst, s, &pending,
-                           connect ? "connect" : "disconnect");
+        return FailOrCrash(inst, s, &pending, what);
       }
-      RecordCommit(inst, {LinkKey(op.link_pos, rop.from, rop.to)});
+      RecordCommit(inst, {KeyFor(rop)});
       ApplyResolved(inst, rop);
       ++inst->acked;
       break;
@@ -1199,10 +1185,8 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
       }
       PendingCommit pending;
       pending.ops = slot->resolved;
-      // A committed transaction of n ops consumes n + 1 op sequences
-      // (n ops + the commit record); an empty commit consumes none.
-      pending.seqs =
-          slot->resolved.empty() ? 0 : slot->resolved.size() + 1;
+      pending.seqs = SeqsFor(slot->resolved.size());
+      pending.txn = true;
       Status s = slot->txn->Commit();
       slot->txn.reset();
       slot->overlay.reset();
@@ -1410,6 +1394,7 @@ RunResult RunWorkload(const SimWorkload& w, const RunOptions& options) {
     report.acked_dml = inst->acked;
     report.cuts_fired = inst->cuts_fired;
     report.skipped_ops = inst->skipped_ops;
+    report.refused_writes = inst->refused_writes;
     report.queries_run = inst->queries_run;
     report.queries_compared = inst->queries_compared;
     report.queries_governed = inst->queries_governed;
@@ -1438,6 +1423,7 @@ RunResult RunWorkload(const SimWorkload& w, const RunOptions& options) {
          << ",\"acked_dml\":" << r.acked_dml
          << ",\"cuts_fired\":" << r.cuts_fired
          << ",\"skipped_ops\":" << r.skipped_ops
+         << ",\"refused_writes\":" << r.refused_writes
          << ",\"queries_run\":" << r.queries_run
          << ",\"queries_compared\":" << r.queries_compared
          << ",\"queries_governed\":" << r.queries_governed

@@ -34,6 +34,9 @@ struct InstanceReport {
   uint64_t acked_dml = 0;  // successful logical ops (== applied_op_seq)
   uint64_t cuts_fired = 0;
   uint64_t skipped_ops = 0;
+  /// Invalid writes issued (the model said they must fail) that the
+  /// database refused without logging or applying anything.
+  uint64_t refused_writes = 0;
   uint64_t queries_run = 0;
   uint64_t queries_compared = 0;
   /// Queries that ran with a deadline or a cancel-from-a-second-thread

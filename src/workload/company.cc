@@ -71,19 +71,21 @@ Result<CompanyHandles> BuildCompany(Database* db,
   for (uint32_t round = 1; round < config.versions_per_atom; ++round) {
     t = t0 + static_cast<Timestamp>(round) * config.stride;
     for (AtomId emp : handles.emps) {
-      TCOB_RETURN_NOT_OK(db->UpdateAtomValues(
+      TCOB_RETURN_NOT_OK(db->UpdateAtom(
           "Emp", emp,
-          {Value::String("emp-upd"),
-           Value::Int(static_cast<int64_t>(1000 + rng.Uniform(4000))),
-           Value::Int(static_cast<int64_t>(1 + rng.Uniform(5)))},
+          {{"name", Value::String("emp-upd")},
+           {"salary",
+            Value::Int(static_cast<int64_t>(1000 + rng.Uniform(4000)))},
+           {"rank", Value::Int(static_cast<int64_t>(1 + rng.Uniform(5)))}},
           t));
     }
     for (AtomId dept : handles.depts) {
       if (rng.Bernoulli(config.dept_update_prob)) {
-        TCOB_RETURN_NOT_OK(db->UpdateAtomValues(
+        TCOB_RETURN_NOT_OK(db->UpdateAtom(
             "Dept", dept,
-            {Value::String("dept-upd"),
-             Value::Int(static_cast<int64_t>(100 + rng.Uniform(900)))},
+            {{"name", Value::String("dept-upd")},
+             {"budget",
+              Value::Int(static_cast<int64_t>(100 + rng.Uniform(900)))}},
             t));
       }
     }

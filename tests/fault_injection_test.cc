@@ -399,15 +399,30 @@ TEST_P(FaultInjectionTest, ApplyFailureAfterLoggingEntersFailedMode) {
   {
     auto db = Populate(&env);
     ASSERT_NE(db, nullptr);
+    // The DELETE's apply maintains this index, whose pages its
+    // validation never reads: validation leaves the atom's own store
+    // pages cached, so only index pages are still cold at apply time.
+    ASSERT_TRUE(db->Execute("CREATE INDEX EmpSalary ON Emp (salary)").ok());
     // Clean close checkpoints, so the reopen below starts cold.
+  }
+  // The DELETE validates before it logs, reading the atom's pages.
+  // Count those reads on a cold dry run, then reopen cold again.
+  uint64_t validation_reads = 0;
+  {
+    auto dry = Database::Open(db_dir(), Options(&env));
+    ASSERT_TRUE(dry.ok()) << dry.status().ToString();
+    const uint64_t before = env.reads();
+    Transaction txn = (*dry)->Begin();
+    ASSERT_TRUE(txn.DeleteAtom("Emp", 2, 20).ok());
+    validation_reads = env.reads() - before;
   }
   auto reopened = Database::Open(db_dir(), Options(&env));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   std::unique_ptr<Database> db = std::move(reopened.value());
 
-  // DELETE is log-then-apply with no preread: the WAL append sees only
-  // writes/syncs, then the apply's first cold-cache heap read fails.
-  env.FailReadAt(env.reads() + 1);
+  // Past the validation reads, the WAL append and fsync see only
+  // writes/syncs; then the apply's first cold-cache index read fails.
+  env.FailReadAt(env.reads() + validation_reads + 1);
   auto failed = db->Execute("DELETE ATOM Emp 2 VALID FROM 20");
   ASSERT_FALSE(failed.ok());
   ASSERT_EQ(db->health_state(), HealthState::kFailed)

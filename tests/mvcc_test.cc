@@ -321,7 +321,7 @@ TEST_P(MvccTest, RecoveryHonorsTxnBoundaries) {
 // Eight threads commit disjoint inserts concurrently; every commit must
 // succeed, every atom must be present exactly once, and the write-set
 // log must drain once the storm ends. This is the TSan workout for
-// Begin/Commit/SyncBatch interleavings.
+// Begin/Commit/commit-queue interleavings.
 TEST_P(MvccTest, ConcurrentDisjointCommitStorm) {
   constexpr int kThreads = 8;
   constexpr int kTxnsPerThread = 4;
