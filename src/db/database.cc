@@ -117,8 +117,10 @@ Status Database::Init() {
                                  options_.strategy)),
                              options_.store);
   if (options_.tiering.enabled) {
-    // Attached before recovery: WAL replay of retroactive DML consults
-    // the cold tier's idempotence markers.
+    // Attached as soon as the store exists, so every read through it,
+    // recovery's included, merges the cold history. Replayed mutations
+    // never need it: they read only the newest version, which the
+    // anchor rule keeps hot.
     cold_tier_ = std::make_unique<ColdTier>(
         pool_.get(), std::string(StorageStrategyName(options_.strategy)));
     cold_tier_->set_memory_budget(&memory_budget_);
@@ -357,9 +359,8 @@ Status Database::ApplyOp(const WalOp& op) {
       TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                             catalog_.GetAtomType(op.atom_type));
       // Capture the version being closed before the store mutates it
-      // (index maintenance needs its value and begin; under WAL replay
-      // the lookup still finds it because it is already closed at
-      // valid_from).
+      // (index maintenance needs its value and begin): the live
+      // version, valid just before valid_from.
       std::optional<AtomVersion> old_version;
       if (attr_indexes_->HasIndexes(type->id)) {
         TCOB_ASSIGN_OR_RETURN(
@@ -514,7 +515,7 @@ Transaction Database::Begin() {
   const TxnSnapshot pinned = txn_manager_.BeginTxn(txn_id);
   txns_begun_total_.Increment();
   trace_rec_.Emit(TraceEventType::kTxnBegin, txn_id);
-  return Transaction(this, txn_id, pinned.now - 1, pinned.seq, alive_token_);
+  return Transaction(this, txn_id, pinned.instant, pinned.seq, alive_token_);
 }
 
 void Database::OnTxnAborted(uint64_t txn_id) {
@@ -1453,8 +1454,15 @@ Result<ResultSet> Database::ExecuteStatementImpl(const Statement& stmt,
 
 Result<uint64_t> Database::VacuumBefore(Timestamp cutoff) {
   std::lock_guard<std::mutex> lk(writer_mu_);
-  // The WAL may reference pre-cutoff versions (idempotency markers), so
-  // flush + truncate it before touching the stores.
+  // An open transaction validates its writes against its snapshot, so
+  // the versions visible there must outlive it. Transactions that begin
+  // later read the vacuumed store.
+  TCOB_RETURN_NOT_OK(txn_manager_.CheckNoSnapshotBefore(cutoff));
+  // Vacuuming is a physical reorganization, not a logged operation.
+  // Checkpointing first leaves the WAL empty while it runs, so the
+  // trailing checkpoint's journal commit is the one point where it
+  // becomes durable: a crash anywhere before it recovers to the
+  // pre-vacuum image.
   TCOB_RETURN_NOT_OK(CheckpointLocked());
   uint64_t removed = 0;
   for (const AtomTypeDef* type : catalog_.AtomTypes()) {
@@ -1603,13 +1611,6 @@ Status Database::CheckpointLocked() {
     checkpoints_total_.Increment();
   }
   return s;
-}
-
-Status Database::Flush() {
-  std::lock_guard<std::mutex> lk(writer_mu_);
-  TCOB_RETURN_NOT_OK(CheckWritable());
-  TCOB_RETURN_NOT_OK(pool_->FlushAll());
-  return SaveCatalog();
 }
 
 Status Database::TryRecover() {

@@ -142,7 +142,7 @@ struct RecoveryStats {
   /// Operations replayed from the WAL into the stores.
   uint64_t replayed_ops = 0;
   /// Operations skipped because the checkpoint already covered them
-  /// (op_seq below the persisted base) — the idempotence path.
+  /// (op_seq below the persisted base) — the exactly-once rule.
   uint64_t skipped_ops = 0;
   /// op_seq watermark loaded from the meta file (first op not covered by
   /// the last checkpoint).
@@ -371,9 +371,6 @@ class Database {
 
   /// Flushes all state and truncates the WAL.
   Status Checkpoint();
-
-  /// Flushes dirty pages (without truncating the WAL).
-  Status Flush();
 
   /// Exhaustive offline-style integrity check, cheapest first: raw
   /// checksum scan of every page of every file, then per-type store
@@ -683,7 +680,8 @@ class Database {
   uint64_t trace_dump_seq_ = 0;
   /// Sequence number the next logical operation will carry. Persisted
   /// into the meta file by Checkpoint; replay skips operations below the
-  /// persisted base, making recovery idempotent under re-crash.
+  /// persisted base, so each operation reaches the stores exactly once,
+  /// also under re-crash.
   uint64_t next_op_seq_ = 1;
   /// OK until a stable-storage write fails; then the first failure —
   /// held until TryRecover clears it (kReadOnly) or forever (kFailed).

@@ -38,8 +38,10 @@ Status WriteConflict(const TxnWriteKey& key) {
 
 TxnSnapshot TxnManager::BeginTxn(uint64_t txn_id) {
   std::lock_guard<std::mutex> lk(mu_);
-  active_[txn_id] = commit_seq_;
-  return TxnSnapshot{now_.load(std::memory_order_relaxed), commit_seq_};
+  const TxnSnapshot pinned{now_.load(std::memory_order_relaxed) - 1,
+                           commit_seq_};
+  active_[txn_id] = pinned;
+  return pinned;
 }
 
 void TxnManager::EndTxn(uint64_t txn_id) {
@@ -59,6 +61,20 @@ Status TxnManager::CheckConflict(
       if (std::binary_search(it->keys.begin(), it->keys.end(), mine)) {
         return WriteConflict(mine);
       }
+    }
+  }
+  return Status::OK();
+}
+
+Status TxnManager::CheckNoSnapshotBefore(Timestamp cutoff) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [id, snap] : active_) {
+    if (snap.instant < cutoff) {
+      return Status::FailedPrecondition(
+          "transaction " + std::to_string(id) + " reads at instant " +
+          std::to_string(snap.instant) +
+          ", before the vacuum cutoff " + std::to_string(cutoff) +
+          "; commit or abort it first");
     }
   }
   return Status::OK();
@@ -102,8 +118,8 @@ void TxnManager::PruneLocked() {
     log_.clear();
     return;
   }
-  uint64_t oldest = active_.begin()->second;
-  for (const auto& [id, snap] : active_) oldest = std::min(oldest, snap);
+  uint64_t oldest = active_.begin()->second.seq;
+  for (const auto& [id, snap] : active_) oldest = std::min(oldest, snap.seq);
   // An entry at or below every active snapshot is visible to all of
   // them and can never conflict again.
   while (!log_.empty() && log_.front().seq <= oldest) log_.pop_front();

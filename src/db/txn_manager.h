@@ -40,10 +40,11 @@ TxnWriteKey WriteKeyForOp(const WalOp& op);
 /// The TxnConflict status of a first-committer-wins loss on `key`.
 Status WriteConflict(const TxnWriteKey& key);
 
-/// What a transaction pins at Begin(): the valid-time NOW and the
-/// commit sequence that the newest commit group published together.
+/// What a transaction pins at Begin(): the valid-time instant it reads
+/// at — the chronon just before the NOW that the newest commit group
+/// published — and that group's commit sequence.
 struct TxnSnapshot {
-  Timestamp now = 1;
+  Timestamp instant = 0;
   uint64_t seq = 0;
 };
 
@@ -70,8 +71,8 @@ struct TxnOutcome {
 /// which is a lock-free load for readers.
 class TxnManager {
  public:
-  /// Registers `txn_id` as active; returns the published pair its
-  /// snapshot pins (every commit up to and including `seq` is visible).
+  /// Registers `txn_id` as active; returns the snapshot it pins (every
+  /// commit up to and including `seq` is visible).
   TxnSnapshot BeginTxn(uint64_t txn_id);
 
   /// Unregisters `txn_id` (abort, or a write-free commit) and prunes
@@ -82,6 +83,11 @@ class TxnManager {
   /// sequenced after `snapshot_seq` wrote one of `keys`.
   Status CheckConflict(uint64_t snapshot_seq,
                        const std::vector<TxnWriteKey>& keys) const;
+
+  /// FailedPrecondition naming an active transaction whose snapshot
+  /// instant lies before `cutoff` — vacuuming before `cutoff` would
+  /// remove versions that snapshot still reads; OK when there is none.
+  Status CheckNoSnapshotBefore(Timestamp cutoff) const;
 
   /// Publishes one commit group: records the write-set of every
   /// committed member in group order (one commit sequence each),
@@ -111,8 +117,8 @@ class TxnManager {
   /// Written only under mu_, so a BeginTxn pins a matching pair.
   std::atomic<Timestamp> now_{1};
   uint64_t commit_seq_ = 0;
-  /// txn id -> snapshot commit sequence.
-  std::map<uint64_t, uint64_t> active_;
+  /// txn id -> the snapshot it pinned.
+  std::map<uint64_t, TxnSnapshot> active_;
   /// Committed write-sets, ascending by seq; pruned to the oldest
   /// active snapshot.
   std::deque<CommitEntry> log_;

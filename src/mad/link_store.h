@@ -32,8 +32,9 @@ struct LinkEntry {
 /// [from][to][begin][end]) plus an in-memory adjacency index in both
 /// directions, rebuilt on open.
 ///
-/// Mutations follow the same valid-time contract as atoms and are
-/// idempotent under WAL replay.
+/// Mutations follow the same valid-time contract as atoms: each is
+/// applied exactly once, and a repeat is refused (AlreadyExists for a
+/// connect, NotFound for a disconnect).
 class LinkStore {
  public:
   LinkStore(BufferPool* pool, std::string file_prefix)
@@ -70,8 +71,6 @@ class LinkStore {
   /// Temporal vacuuming: removes every connection interval ending at or
   /// before `cutoff`. Returns the number of link records removed.
   Result<uint64_t> VacuumBefore(const LinkTypeDef& link, Timestamp cutoff);
-
-  Status Flush() { return pool_->FlushAll(); }
 
   /// Structural self-check: every interval well-formed, every adjacency
   /// entry's record readable from the heap, and the forward and reverse

@@ -52,6 +52,9 @@ struct TxnSlot {
   /// The harness commit clock at Begin() — the conflict window's lower
   /// bound, mirroring TxnManager's snapshot sequence.
   uint64_t begin_clock = 0;
+  /// The valid-time instant the snapshot reads at (Instance::now - 1 at
+  /// Begin()); a vacuum with a later cutoff is refused while it is open.
+  Timestamp snapshot = 0;
 };
 
 /// A possibly-durable commit group for crash reconciliation: `seqs` op
@@ -143,6 +146,9 @@ struct Instance {
   /// conflicts are predicted, not observed.
   uint64_t commit_clock = 0;
   std::vector<std::pair<uint64_t, std::vector<TxnWriteKey>>> commit_log;
+  /// Mirror of the TxnManager's valid-time NOW: every committed op
+  /// advances it past its stamp, and nothing else moves it.
+  Timestamp now = 1;
   /// Committed logical ops in commit order, plus vacuum events — the
   /// serial history the final database state must equal.
   std::vector<ResolvedOp> journal;
@@ -266,6 +272,7 @@ void RecordCommit(Instance* inst, std::vector<TxnWriteKey> keys) {
 /// Mirrors one committed (or recovered-as-durable) resolved op into the
 /// lock-step model and appends it to the serializability journal.
 void ApplyResolved(Instance* inst, const ResolvedOp& rop) {
+  inst->now = std::max(inst->now, rop.at + 1);
   switch (rop.kind) {
     case SimOpKind::kInsert:
       inst->model.InsertAtomWithId(rop.atom, rop.type_pos, rop.set, rop.at);
@@ -1077,7 +1084,23 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
       break;
     }
     case SimOpKind::kVacuum: {
+      // Refused, before any I/O, while an open transaction's snapshot
+      // reads before the cutoff: the vacuum would remove versions it
+      // validates against.
+      const TxnSlot* reader = nullptr;
+      for (const TxnSlot& s : inst->slots) {
+        if (s.open && s.snapshot < op.at) reader = &s;
+      }
       Result<uint64_t> r = inst->db->VacuumBefore(op.at);
+      if (reader != nullptr) {
+        if (!r.status().IsFailedPrecondition()) {
+          return "vacuum under a transaction reading at " +
+                 std::to_string(reader->snapshot) +
+                 ": expected FailedPrecondition, got " +
+                 (r.ok() ? std::string("OK") : r.status().ToString());
+        }
+        break;
+      }
       if (!r.ok()) {
         if (inst->env.cut_fired()) {
           // The vacuum may or may not have committed; mask comparisons
@@ -1098,6 +1121,9 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
       if (!inst->vacuum_uncertain && r.value() != expected) {
         return "vacuum removed " + std::to_string(r.value()) +
                " atom versions, model expected " + std::to_string(expected);
+      }
+      for (TxnSlot& s : inst->slots) {
+        if (s.open) s.overlay->VacuumBefore(op.at);
       }
       {
         ResolvedOp rop;
@@ -1138,6 +1164,7 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
       slot.resolved.clear();
       slot.keys.clear();
       slot.begin_clock = inst->commit_clock;
+      slot.snapshot = inst->now - 1;
       slot.open = true;
       ++inst->txns_begun;
       break;

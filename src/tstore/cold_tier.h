@@ -88,13 +88,6 @@ class ColdTier {
   Status CollectAll(const AtomTypeDef& type, const Interval& window,
                     std::map<AtomId, std::vector<AtomVersion>>* out) const;
 
-  Result<ColdMarkers> MarkersAt(const AtomTypeDef& type, AtomId id,
-                                Timestamp t) const;
-
-  /// Cheap gate: false when no segment's atom-id range covers `id`.
-  /// Never touches a payload page (directory metadata only).
-  Result<bool> MightHave(const AtomTypeDef& type, AtomId id) const;
-
   /// Drops every cold version whose validity ends at or before `cutoff`:
   /// whole segments with fence.end <= cutoff are deleted without being
   /// read; straddling segments are decoded, filtered and rewritten.

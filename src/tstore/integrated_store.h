@@ -40,7 +40,6 @@ class IntegratedStore : public TemporalAtomStore {
   Status Delete(const AtomTypeDef& type, AtomId id, Timestamp from) override;
 
   Result<StoreSpaceStats> SpaceStats() const override;
-  Status Flush() override;
   Result<uint64_t> VacuumBefore(const AtomTypeDef& type,
                                 Timestamp cutoff) override;
   Result<uint64_t> ReleaseMigrated(const AtomTypeDef& type,

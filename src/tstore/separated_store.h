@@ -44,7 +44,6 @@ class SeparatedStore : public TemporalAtomStore {
   Status Delete(const AtomTypeDef& type, AtomId id, Timestamp from) override;
 
   Result<StoreSpaceStats> SpaceStats() const override;
-  Status Flush() override;
   Result<uint64_t> VacuumBefore(const AtomTypeDef& type,
                                 Timestamp cutoff) override;
   Result<uint64_t> ReleaseMigrated(const AtomTypeDef& type,
@@ -132,17 +131,6 @@ class SeparatedStore : public TemporalAtomStore {
   Result<std::vector<AtomVersion>> CollectPast(
       const AtomTypeDef& type, const CurrentRecord& cur,
       const Interval& window, Timestamp* proved_floor = nullptr) const;
-
-  /// WAL-replay detection: does any version (live, closed, or cold)
-  /// begin/end exactly at `at`? Walks the chain, then merges the cold
-  /// tier's markers so replay against migrated history still idempotes.
-  struct ReplayMarkers {
-    bool begins_at = false;
-    bool ends_at = false;
-  };
-  Result<ReplayMarkers> ScanMarkers(const AtomTypeDef& type, AtomId id,
-                                    const CurrentRecord& cur,
-                                    Timestamp at) const;
 
   static std::string VersionKey(AtomId id, Timestamp begin);
 

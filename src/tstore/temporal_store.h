@@ -105,16 +105,6 @@ struct ColdTierAccessStats {
   }
 };
 
-/// Whether an atom begins or ends a cold version exactly at one instant
-/// (replay-idempotence checks for retroactive DML consult this, so DML
-/// against old timestamps reports the same status with and without
-/// tiering).
-struct ColdMarkers {
-  bool begins_at = false;         // some cold version begins at t
-  bool begins_update_at = false;  // ... with version_no > 1 (an update)
-  bool ends_at = false;           // some cold version ends at t
-};
-
 /// Storage-strategy-independent interface over versioned atoms.
 ///
 /// Mutation contract (shared by all implementations):
@@ -125,9 +115,12 @@ struct ColdMarkers {
 ///  * Delete closes the current version at `from`, leaving the atom with
 ///    no live version (it may be re-inserted later, resuming its history).
 ///
-/// All three mutations are idempotent with respect to WAL replay: an
-/// operation whose effects are already present reports OK without
-/// changing anything.
+/// Each mutation is applied exactly once: recovery skips every WAL
+/// record below the checkpoint's op_seq watermark, and every operation
+/// is validated before it is logged. A repeat is refused like any other
+/// operation that does not apply cleanly, and changes nothing. The
+/// checks look only at the newest version: a mutation reads no history
+/// beyond what it rewrites and never touches the cold tier.
 class TemporalAtomStore {
  public:
   using VersionCallback =
@@ -219,9 +212,6 @@ class TemporalAtomStore {
     return Status::OK();
   }
 
-  /// Flushes all store state through the buffer pool to disk.
-  virtual Status Flush() = 0;
-
   /// Temporal vacuuming: physically removes every version whose validity
   /// ends at or before `cutoff` (versions overlapping the cutoff stay).
   /// Returns the number of versions removed. Vacuuming is a physical
@@ -274,9 +264,6 @@ class TemporalAtomStore {
   Result<std::vector<AtomVersion>> ColdVersions(const AtomTypeDef& type,
                                                 AtomId id,
                                                 const Interval& window) const;
-  Result<ColdMarkers> ColdMarkersAt(const AtomTypeDef& type, AtomId id,
-                                    Timestamp t) const;
-  Result<bool> ColdMightHave(const AtomTypeDef& type, AtomId id) const;
   Status ColdCollectAll(const AtomTypeDef& type, const Interval& window,
                         std::map<AtomId, std::vector<AtomVersion>>* out) const;
 

@@ -27,16 +27,17 @@ enum class WalOpType : uint8_t {
 /// One logical redo record.
 ///
 /// TCOB logs *operations*, not page images: replay re-executes the DML
-/// against the stores. Store implementations make replay idempotent by
-/// recognizing already-applied operations (e.g. an update whose valid-from
-/// equals the current version's begin and whose attributes match).
+/// against the stores, starting from the last checkpoint's exact image
+/// (see PageJournal) and skipping every record below its op_seq
+/// watermark. Each record therefore reaches the stores exactly once; the
+/// stores refuse a repeat, and recovery then fails instead of guessing.
 struct WalOp {
   WalOpType type = WalOpType::kCommit;
   uint64_t txn_id = 0;
   /// Database-wide monotonic sequence number (LSN analogue). A
   /// checkpoint persists the next sequence into the meta file; replay
-  /// skips records below it, making recovery idempotent even when a
-  /// crash lands between the checkpoint's page flush and the WAL
+  /// skips records below it, so each record is applied exactly once even
+  /// when a crash lands between the checkpoint's page flush and the WAL
   /// truncation — or during a re-crash inside recovery itself.
   uint64_t op_seq = 0;
 

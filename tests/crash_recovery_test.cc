@@ -16,6 +16,7 @@
 #include "db/database.h"
 #include "query/parser.h"
 #include "storage/fault_env.h"
+#include "wal/wal.h"
 
 namespace tcob {
 namespace {
@@ -261,6 +262,52 @@ TEST_P(CrashRecoveryTest, PowerCutDuringCheckpointNeverLosesAckedOps) {
   // leaves a committed journal behind; some reopen above must have
   // finished that checkpoint from it.
   EXPECT_TRUE(saw_journal_apply);
+}
+
+TEST_P(CrashRecoveryTest, RecordLoggedTwiceFailsRecovery) {
+  // Recovery applies each WAL record exactly once, so a record appended
+  // a second time cannot apply cleanly: the open fails instead of
+  // acknowledging the repeat as a no-op. Every kind of DML record is
+  // tried, each against its own abandoned instance.
+  const std::vector<std::string> dml = {
+      "INSERT ATOM Dept (name='d', budget=1) VALID FROM 10",
+      "INSERT ATOM Emp (name='e', salary=1) VALID FROM 10",
+      "CONNECT DeptEmp FROM 1 TO 2 VALID FROM 10",
+      "UPDATE ATOM Emp 2 SET salary=2 VALID FROM 20",
+      "DISCONNECT DeptEmp FROM 1 TO 2 VALID FROM 30",
+      "DELETE ATOM Emp 2 VALID FROM 30",
+  };
+  for (size_t repeat = 0; repeat < dml.size(); ++repeat) {
+    SCOPED_TRACE("record " + std::to_string(repeat) + " logged twice");
+    const std::string path = dir_.path() + "/db" + std::to_string(repeat);
+    {
+      auto victim = Database::Open(path, Options());
+      ASSERT_TRUE(victim.ok());
+      Database* leaked = victim.value().release();
+      auto stmts = Parser::ParseScript(kSchema);
+      ASSERT_TRUE(stmts.ok());
+      for (const Statement& stmt : stmts.value()) {
+        ASSERT_TRUE(leaked->ExecuteStatement(stmt).ok());
+      }
+      for (const std::string& mql : dml) Run(leaked, mql);
+    }
+    {
+      auto wal = WriteAheadLog::Open(path + "/wal.log");
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      std::vector<std::string> records;
+      ASSERT_TRUE(wal.value()
+                      ->ReadAll([&](const Slice& record) -> Result<bool> {
+                        records.push_back(record.ToString());
+                        return true;
+                      })
+                      .ok());
+      ASSERT_EQ(records.size(), dml.size());
+      ASSERT_TRUE(wal.value()->Append(records[repeat]).ok());
+      ASSERT_TRUE(wal.value()->Sync().ok());
+    }
+    auto reopened = Database::Open(path, Options());
+    EXPECT_FALSE(reopened.ok());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, CrashRecoveryTest,

@@ -69,16 +69,16 @@ TEST_F(LinkStoreTest, ErrorCases) {
   ASSERT_TRUE(links_->Connect(link_, 1, 10, 5).ok());
   // Double connect while open.
   EXPECT_TRUE(links_->Connect(link_, 1, 10, 7).IsAlreadyExists());
-  // Idempotent replay of the same connect.
-  EXPECT_TRUE(links_->Connect(link_, 1, 10, 5).ok());
+  // A repeat of the same connect is refused too.
+  EXPECT_TRUE(links_->Connect(link_, 1, 10, 5).IsAlreadyExists());
   // Disconnect of a non-existent connection.
   EXPECT_TRUE(links_->Disconnect(link_, 2, 10, 7).IsNotFound());
   EXPECT_TRUE(links_->Disconnect(link_, 1, 99, 7).IsNotFound());
   // Disconnect before the connection began.
   EXPECT_TRUE(links_->Disconnect(link_, 1, 10, 5).IsInvalidArgument());
   ASSERT_TRUE(links_->Disconnect(link_, 1, 10, 9).ok());
-  // Idempotent replay of the disconnect.
-  EXPECT_TRUE(links_->Disconnect(link_, 1, 10, 9).ok());
+  // A repeat of the disconnect finds no open connection.
+  EXPECT_TRUE(links_->Disconnect(link_, 1, 10, 9).IsNotFound());
   // Reconnect overlapping the closed interval.
   EXPECT_TRUE(links_->Connect(link_, 1, 10, 7).IsInvalidArgument());
 }
@@ -97,7 +97,7 @@ TEST_F(LinkStoreTest, PersistsAcrossReopen) {
   ASSERT_TRUE(links_->Connect(link_, 1, 10, 5).ok());
   ASSERT_TRUE(links_->Connect(link_, 2, 20, 5).ok());
   ASSERT_TRUE(links_->Disconnect(link_, 1, 10, 9).ok());
-  ASSERT_TRUE(links_->Flush().ok());
+  ASSERT_TRUE(pool_->FlushAll().ok());
   links_.reset();
   pool_ = std::make_unique<BufferPool>(disk_.get(), 64);
   links_ = std::make_unique<LinkStore>(pool_.get(), "links");

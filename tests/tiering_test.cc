@@ -237,6 +237,27 @@ TEST_P(TieringTest, DmlAfterMigrationStaysIdentical) {
   ExpectIdentical();
 }
 
+TEST_P(TieringTest, DmlLeavesTheColdTierUntouched) {
+  ASSERT_TRUE(Migrate().ok());
+  // A mutation reads only the newest version, which the anchor rule
+  // keeps hot: an UPDATE and a DELETE of atoms with cold history must
+  // neither decode nor even fence-test a cold segment.
+  auto cold_counters = [&]() {
+    MetricsSnapshot m = tiered_->metrics().Snapshot();
+    return std::make_pair(m.CounterOr("tcob_cold_segments_scanned_total"),
+                          m.CounterOr("tcob_cold_segments_pruned_total"));
+  };
+  const auto before = cold_counters();
+  for (const std::string& mql :
+       {"UPDATE ATOM Emp 3 SET salary=1 VALID FROM " +
+            std::to_string(kNow + 10),
+        "DELETE ATOM Emp 4 VALID FROM " + std::to_string(kNow + 10)}) {
+    auto r = tiered_->Execute(mql);
+    ASSERT_TRUE(r.ok()) << mql << ": " << r.status().ToString();
+  }
+  EXPECT_EQ(cold_counters(), before);
+}
+
 TEST_P(TieringTest, VacuumAfterTieringRemovesSameCount) {
   ASSERT_TRUE(Migrate().ok());
   auto plain_removed = plain_->VacuumBefore(200);

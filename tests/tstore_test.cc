@@ -126,19 +126,25 @@ TEST_P(TStoreTest, MutationErrorCases) {
   EXPECT_TRUE(store_->Insert(type_, 1, Attrs("b", 2), 15).IsInvalidArgument());
 }
 
-TEST_P(TStoreTest, IdempotentReplay) {
+TEST_P(TStoreTest, RepeatedMutationIsRefused) {
+  // Each mutation is applied exactly once; a repeat — right after the
+  // original or later — is refused and changes nothing.
   ASSERT_TRUE(store_->Insert(type_, 1, Attrs("a", 1), 10).ok());
+  EXPECT_TRUE(store_->Insert(type_, 1, Attrs("a", 1), 10).IsAlreadyExists());
   ASSERT_TRUE(store_->Update(type_, 1, Attrs("b", 2), 20).ok());
+  EXPECT_TRUE(
+      store_->Update(type_, 1, Attrs("b", 2), 20).IsInvalidArgument());
   ASSERT_TRUE(store_->Delete(type_, 1, 30).ok());
-  // Replaying the exact same operations must be accepted silently.
-  EXPECT_TRUE(store_->Insert(type_, 1, Attrs("a", 1), 10).ok());
-  EXPECT_TRUE(store_->Update(type_, 1, Attrs("b", 2), 20).ok());
-  EXPECT_TRUE(store_->Delete(type_, 1, 30).ok());
-  // State unchanged.
+  EXPECT_TRUE(store_->Delete(type_, 1, 30).IsInvalidArgument());
+  EXPECT_TRUE(store_->Insert(type_, 1, Attrs("a", 1), 10).IsInvalidArgument());
+  EXPECT_TRUE(
+      store_->Update(type_, 1, Attrs("b", 2), 20).IsInvalidArgument());
   auto versions = store_->GetVersions(type_, 1, Interval::All()).value();
   ASSERT_EQ(versions.size(), 2u);
   EXPECT_EQ(versions[0].valid, Interval(10, 20));
+  EXPECT_EQ(versions[0].attrs[0].AsString(), "a");
   EXPECT_EQ(versions[1].valid, Interval(20, 30));
+  EXPECT_EQ(versions[1].attrs[0].AsString(), "b");
 }
 
 TEST_P(TStoreTest, GetVersionsWindowFilters) {
@@ -231,7 +237,7 @@ TEST_P(TStoreTest, LongHistories) {
 TEST_P(TStoreTest, PersistsAcrossReopen) {
   ASSERT_TRUE(store_->Insert(type_, 1, Attrs("a", 1), 10).ok());
   ASSERT_TRUE(store_->Update(type_, 1, Attrs("b", 2), 20).ok());
-  ASSERT_TRUE(store_->Flush().ok());
+  ASSERT_TRUE(pool_->FlushAll().ok());
   store_.reset();
   pool_ = std::make_unique<BufferPool>(disk_.get(), 512);
   StoreOptions options;

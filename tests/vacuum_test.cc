@@ -2,6 +2,7 @@
 
 #include "common/temp_dir.h"
 #include "db/database.h"
+#include "db/transaction.h"
 #include "query/parser.h"
 
 namespace tcob {
@@ -174,6 +175,35 @@ TEST_P(VacuumTest, DatabaseUsableAfterVacuumAndReopen) {
                 .value()
                 .size(),
             7u);
+}
+
+TEST_P(VacuumTest, RefusedBelowAnOpenTransactionsSnapshot) {
+  // The shrunk trace of fuzz_sim seed 1143: a vacuum must not remove a
+  // version an open transaction's snapshot still reads.
+  const AtomId emp =
+      Run("INSERT ATOM Emp (name='ada', salary=1) VALID FROM 22").inserted_id;
+  Transaction txn = db_->Begin();
+  ASSERT_EQ(txn.snapshot(), 22);
+  Run("UPDATE ATOM Emp " + std::to_string(emp) +
+      " SET salary=2 VALID FROM 56");
+  // A cutoff at the snapshot instant removes nothing it reads.
+  ASSERT_TRUE(db_->VacuumBefore(22).ok());
+  auto refused = db_->VacuumBefore(61);
+  ASSERT_TRUE(refused.status().IsFailedPrecondition())
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("transaction " +
+                                            std::to_string(txn.id())),
+            std::string::npos)
+      << refused.status().ToString();
+  // The version [22, 56) survived, so the update buffers against it and
+  // loses to the auto-committed update at COMMIT.
+  ASSERT_TRUE(txn.UpdateAtom("Emp", emp, {{"salary", Value::Int(3)}}, 75)
+                  .ok());
+  EXPECT_TRUE(txn.Commit().IsTxnConflict());
+  // Once the transaction has ended the vacuum runs.
+  auto removed = db_->VacuumBefore(61);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(removed.value(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, VacuumTest,
