@@ -90,12 +90,12 @@ enum class TraceCheckpointPhase : uint64_t {
   kWalTruncate,
 };
 
-/// Tier-migration phases (the arg word of kTierPhaseBegin/End).
+/// Tier-migration phases (the arg word of kTierPhaseBegin/End), in the
+/// order each atom type runs them; the fence's checkpoints emit their
+/// own checkpoint phases.
 enum class TraceTierPhase : uint64_t {
-  kCheckpoint = 0,
-  kCollect,
-  kMigrate,
-  kRelease,
+  kRelease = 0,  // versions leave the hot store
+  kMigrate,      // the same versions become segments
 };
 
 /// The category bit an event type belongs to.

@@ -170,10 +170,8 @@ const char* CheckpointPhaseName(uint64_t arg) {
 
 const char* TierPhaseName(uint64_t arg) {
   switch (static_cast<TraceTierPhase>(arg)) {
-    case TraceTierPhase::kCheckpoint: return "tier:checkpoint";
-    case TraceTierPhase::kCollect: return "tier:collect";
-    case TraceTierPhase::kMigrate: return "tier:migrate";
     case TraceTierPhase::kRelease: return "tier:release";
+    case TraceTierPhase::kMigrate: return "tier:migrate";
   }
   return "tier";
 }

@@ -437,8 +437,8 @@ void Database::FailHard(const Status& cause) {
   // first, a diverged in-memory image is the stronger condition.
   if (health_state_ != HealthState::kFailed) {
     fail_stop_ = Status::IOError(
-        "database failed (in-memory state diverged from the log): " +
-        cause.ToString());
+        "database failed (in-memory state diverged from what a reopen "
+        "recovers): " + cause.ToString());
     health_state_ = HealthState::kFailed;
     trace_rec_.Emit(TraceEventType::kHealthTransition,
                     static_cast<uint64_t>(HealthState::kFailed));
@@ -1458,96 +1458,87 @@ Result<uint64_t> Database::VacuumBefore(Timestamp cutoff) {
   // the versions visible there must outlive it. Transactions that begin
   // later read the vacuumed store.
   TCOB_RETURN_NOT_OK(txn_manager_.CheckNoSnapshotBefore(cutoff));
-  // Vacuuming is a physical reorganization, not a logged operation.
-  // Checkpointing first leaves the WAL empty while it runs, so the
-  // trailing checkpoint's journal commit is the one point where it
-  // becomes durable: a crash anywhere before it recovers to the
-  // pre-vacuum image.
-  TCOB_RETURN_NOT_OK(CheckpointLocked());
-  uint64_t removed = 0;
-  for (const AtomTypeDef* type : catalog_.AtomTypes()) {
-    TCOB_ASSIGN_OR_RETURN(uint64_t n, store_->VacuumBefore(*type, cutoff));
-    removed += n;
-    if (cold_tier_ != nullptr) {
-      // Cold versions are strictly older than hot ones, so if the hot
-      // vacuum emptied an atom its cold history predates the cutoff too
-      // — the cross-tier timeline invariants survive any cutoff.
-      TCOB_ASSIGN_OR_RETURN(uint64_t c,
-                            cold_tier_->VacuumBefore(*type, cutoff));
-      removed += c;
+  return ReorganizeLocked([&]() -> Result<uint64_t> {
+    uint64_t removed = 0;
+    for (const AtomTypeDef* type : catalog_.AtomTypes()) {
+      TCOB_ASSIGN_OR_RETURN(
+          uint64_t n, store_->RemoveClosedPrefix(*type, cutoff,
+                                                 /*keep_anchor=*/false,
+                                                 /*removed=*/nullptr));
+      removed += n;
+      if (cold_tier_ != nullptr) {
+        // Cold versions are strictly older than hot ones, so if the hot
+        // vacuum emptied an atom its cold history predates the cutoff
+        // too — the cross-tier timeline invariants survive any cutoff.
+        TCOB_ASSIGN_OR_RETURN(uint64_t c,
+                              cold_tier_->VacuumBefore(*type, cutoff));
+        removed += c;
+      }
     }
-  }
-  for (const LinkTypeDef* link : catalog_.LinkTypes()) {
-    TCOB_RETURN_NOT_OK(links_->VacuumBefore(*link, cutoff).status());
-  }
-  TCOB_RETURN_NOT_OK(attr_indexes_->VacuumBefore(cutoff).status());
-  TCOB_RETURN_NOT_OK(CheckpointLocked());
-  return removed;
+    for (const LinkTypeDef* link : catalog_.LinkTypes()) {
+      TCOB_RETURN_NOT_OK(links_->VacuumBefore(*link, cutoff).status());
+    }
+    TCOB_RETURN_NOT_OK(attr_indexes_->VacuumBefore(cutoff).status());
+    return removed;
+  });
 }
 
 Result<uint64_t> Database::TierMigrate() {
   std::lock_guard<std::mutex> lk(writer_mu_);
   TCOB_RETURN_NOT_OK(CheckWritable());
   if (cold_tier_ == nullptr) return static_cast<uint64_t>(0);
-  // Same checkpoint discipline as VacuumBefore: the migration is a
-  // physical reorganization, not a logged operation. The WAL is empty
-  // while it runs, and its effects become durable only at the trailing
-  // checkpoint's journal-commit point — a crash anywhere in between
-  // recovers to the pre-migration image.
-  {
-    TraceScope scope(&trace_rec_, TraceEventType::kTierPhaseBegin,
-                     TraceEventType::kTierPhaseEnd,
-                     static_cast<uint64_t>(TraceTierPhase::kCheckpoint));
-    TCOB_RETURN_NOT_OK(CheckpointLocked());
-  }
   const Timestamp now = Now();
   const Timestamp cutoff = now > options_.tiering.cold_age
                                ? now - options_.tiering.cold_age
                                : kMinTimestamp;
-  uint64_t migrated = 0;
-  for (const AtomTypeDef* type : catalog_.AtomTypes()) {
-    std::map<AtomId, std::vector<AtomVersion>> eligible;
-    {
-      TraceScope scope(&trace_rec_, TraceEventType::kTierPhaseBegin,
-                       TraceEventType::kTierPhaseEnd,
-                       static_cast<uint64_t>(TraceTierPhase::kCollect));
-      TCOB_ASSIGN_OR_RETURN(eligible,
-                            store_->CollectMigratable(*type, cutoff));
-    }
-    if (eligible.empty()) continue;
-    uint64_t written = 0;
-    {
+  return ReorganizeLocked([&]() -> Result<uint64_t> {
+    uint64_t migrated = 0;
+    for (const AtomTypeDef* type : catalog_.AtomTypes()) {
+      // One pass per type: the versions leave the hot store, then the
+      // same id-ordered map becomes segments. Both halves sit inside the
+      // fence, so no checkpoint can separate them.
+      std::map<AtomId, std::vector<AtomVersion>> removed;
+      {
+        TraceScope scope(&trace_rec_, TraceEventType::kTierPhaseBegin,
+                         TraceEventType::kTierPhaseEnd,
+                         static_cast<uint64_t>(TraceTierPhase::kRelease));
+        TCOB_ASSIGN_OR_RETURN(
+            uint64_t n, store_->RemoveClosedPrefix(*type, cutoff,
+                                                   /*keep_anchor=*/true,
+                                                   &removed));
+        migrated += n;
+      }
+      if (removed.empty()) continue;
       TraceScope scope(&trace_rec_, TraceEventType::kTierPhaseBegin,
                        TraceEventType::kTierPhaseEnd,
                        static_cast<uint64_t>(TraceTierPhase::kMigrate));
-      TCOB_ASSIGN_OR_RETURN(
-          written,
-          cold_tier_->Migrate(*type, eligible, query_pool_.get(),
+      TCOB_RETURN_NOT_OK(
+          cold_tier_->Migrate(*type, removed, query_pool_.get(),
                               options_.tiering.segment_target_bytes));
     }
-    uint64_t released = 0;
-    {
-      TraceScope scope(&trace_rec_, TraceEventType::kTierPhaseBegin,
-                       TraceEventType::kTierPhaseEnd,
-                       static_cast<uint64_t>(TraceTierPhase::kRelease));
-      TCOB_ASSIGN_OR_RETURN(released,
-                            store_->ReleaseMigrated(*type, cutoff));
-    }
-    if (written != released) {
-      return Status::Corruption(
-          "tier migration of type " + type->name + " wrote " +
-          std::to_string(written) + " version(s) but released " +
-          std::to_string(released));
-    }
-    migrated += released;
+    return migrated;
+  });
+}
+
+Result<uint64_t> Database::ReorganizeLocked(
+    const std::function<Result<uint64_t>()>& body) {
+  std::lock_guard<std::shared_mutex> applying(apply_mu_);
+  // Checkpointing first leaves the WAL empty while the body runs, so the
+  // trailing checkpoint's journal commit is the one point where the
+  // reorganization becomes durable: a crash anywhere before it recovers
+  // to the leading checkpoint's image.
+  TCOB_RETURN_NOT_OK(CheckpointLocked());
+  Result<uint64_t> done = body();
+  if (!done.ok()) {
+    // Reads do not poison, so without this a failed read would leave a
+    // healthy instance whose next checkpoint (the destructor's included)
+    // makes the half-reorganized image durable.
+    FailHard(Status::Internal("reorganization failed between its "
+                              "checkpoints: " + done.status().ToString()));
+    return done.status();
   }
-  {
-    TraceScope scope(&trace_rec_, TraceEventType::kTierPhaseBegin,
-                     TraceEventType::kTierPhaseEnd,
-                     static_cast<uint64_t>(TraceTierPhase::kCheckpoint));
-    TCOB_RETURN_NOT_OK(CheckpointLocked());
-  }
-  return migrated;
+  TCOB_RETURN_NOT_OK(CheckpointLocked());
+  return done;
 }
 
 // ---- durability ----
@@ -1696,11 +1687,6 @@ Status Database::LoadMeta() {
     return read.status();
   }
   const std::string& bytes = read.value();
-  if (bytes.size() == 8) {
-    // Legacy format: the bare clock, no watermark, no checksum.
-    SetNow(static_cast<Timestamp>(DecodeFixed64(bytes.data())));
-    return Status::OK();
-  }
   if (bytes.size() != kMetaSize) {
     return Status::Corruption("meta file " + path + ": unexpected size " +
                               std::to_string(bytes.size()));

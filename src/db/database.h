@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -354,17 +355,21 @@ class Database {
   /// interval and index entry that ended at or before `cutoff`.
   /// Time-slice and history queries at instants >= cutoff are
   /// unaffected; queries before the cutoff lose their data (that is the
-  /// point). Wrapped in checkpoints so the WAL never references
-  /// vacuumed state. Returns the number of atom versions removed.
+  /// point). Refused while an open transaction's snapshot is below
+  /// `cutoff`. Wrapped in checkpoints so the WAL never references
+  /// vacuumed state; a failure in between fails the instance hard, and a
+  /// reopen serves the pre-vacuum image. Returns the number of atom
+  /// versions removed.
   Result<uint64_t> VacuumBefore(Timestamp cutoff);
 
-  /// Cold-history migration: moves every atom version whose validity
-  /// ended at or before NOW - tiering.cold_age into the cold tier's
-  /// delta-compressed segments and releases it from the hot store.
-  /// No-op (returns 0) when tiering is disabled. Wrapped in checkpoints
-  /// like VacuumBefore — the WAL never references a half-migrated store,
-  /// and a crash mid-migration recovers to the pre-migration checkpoint.
-  /// Returns the number of versions migrated.
+  /// Cold-history migration: removes every atom version whose validity
+  /// ended at or before NOW - tiering.cold_age from the hot store (the
+  /// anchor rule keeps each atom's newest version) and writes them into
+  /// the cold tier's delta-compressed segments. No-op (returns 0) when
+  /// tiering is disabled. Wrapped in checkpoints like VacuumBefore — the
+  /// WAL never references a half-migrated store, and a crash or failure
+  /// mid-migration recovers to the pre-migration checkpoint. Returns the
+  /// number of versions migrated.
   Result<uint64_t> TierMigrate();
 
   // ---- durability ----
@@ -510,6 +515,16 @@ class Database {
   /// already hold it call this directly).
   Status CheckpointLocked();
 
+  /// The fence around a physical reorganization (VacuumBefore,
+  /// TierMigrate), which the WAL does not log; caller holds writer_mu_.
+  /// Holds apply_mu_ exclusively, as a commit's apply does, so no
+  /// transaction validation reads a half-reorganized store. Checkpoints,
+  /// runs `body`, checkpoints again. A failed body has left pages
+  /// half-reorganized that no checkpoint may make durable, so it fails
+  /// the instance hard; a reopen restores the leading checkpoint's image.
+  Result<uint64_t> ReorganizeLocked(
+      const std::function<Result<uint64_t>()>& body);
+
   /// Wires every component's counters into metrics_ (end of Init).
   void RegisterMetrics();
 
@@ -576,9 +591,11 @@ class Database {
   /// later mutations see it, reads keep serving.
   void Poison(const Status& cause);
 
-  /// Hard failure: the in-memory image diverged from the log (an apply
-  /// failed after its record was durably appended). Degrades to kFailed;
-  /// every access is refused from here and TryRecover cannot help.
+  /// Hard failure: the in-memory image diverged from what a reopen
+  /// recovers (an apply failed after its record was durably appended,
+  /// or a reorganization failed between its checkpoints). Degrades to
+  /// kFailed; every access is refused from here and TryRecover cannot
+  /// help.
   void FailHard(const Status& cause);
 
   /// Meta file (clock.tcob): NOW and the checkpoint op_seq watermark,
@@ -649,10 +666,10 @@ class Database {
   /// fsync, apply), DDL, checkpoints, and maintenance. Reads and Begin()
   /// never take it, nor do committers waiting in the queue.
   mutable std::mutex writer_mu_;
-  /// Page contents carry no latch, so a commit group's apply excludes
-  /// the store reads of transaction validation, which now run beside
-  /// other commits (held exclusively by the leader while it applies,
-  /// shared by Transaction's overlay reads).
+  /// Page contents carry no latch, so store writes exclude the store
+  /// reads of transaction validation, which run beside other commits:
+  /// held exclusively by the leader while it applies a group and by a
+  /// reorganization's fence, shared by Transaction's overlay reads.
   std::shared_mutex apply_mu_;
   /// The commit queue (see CommitBatch); its front is the leader.
   std::mutex queue_mu_;

@@ -100,11 +100,11 @@ Result<ColdTier::SegmentInfo> ColdTier::DescribeBlob(
   return info;
 }
 
-Result<uint64_t> ColdTier::Migrate(
+Status ColdTier::Migrate(
     const AtomTypeDef& type,
     const std::map<AtomId, std::vector<AtomVersion>>& atoms,
     ThreadPool* encoder_pool, uint64_t segment_target_bytes) {
-  if (atoms.empty()) return 0;
+  if (atoms.empty()) return Status::OK();
   TCOB_ASSIGN_OR_RETURN(TypeState * state, EnsureState(type, /*create=*/true));
   std::vector<AttrType> schema = type.AttrTypes();
   if (segment_target_bytes == 0) segment_target_bytes = 32 * 1024;
@@ -174,7 +174,7 @@ Result<uint64_t> ColdTier::Migrate(
   }
   versions_migrated_.Add(migrated);
   input_bytes_.Add(total_input);
-  return migrated;
+  return Status::OK();
 }
 
 Result<std::vector<AtomVersion>> ColdTier::VersionsOf(

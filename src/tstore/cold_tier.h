@@ -72,11 +72,9 @@ class ColdTier {
   /// ascending begin order), partitioned so each segment's input stays
   /// near `segment_target_bytes`. Segment encoding is CPU-only and fans
   /// out on `encoder_pool` when provided; heap appends stay serial.
-  /// Returns the number of versions written.
-  Result<uint64_t> Migrate(
-      const AtomTypeDef& type,
-      const std::map<AtomId, std::vector<AtomVersion>>& atoms,
-      ThreadPool* encoder_pool, uint64_t segment_target_bytes);
+  Status Migrate(const AtomTypeDef& type,
+                 const std::map<AtomId, std::vector<AtomVersion>>& atoms,
+                 ThreadPool* encoder_pool, uint64_t segment_target_bytes);
 
   /// Every cold version of `id` overlapping `window`, ascending begin.
   Result<std::vector<AtomVersion>> VersionsOf(const AtomTypeDef& type,

@@ -1,5 +1,7 @@
 #include "tstore/integrated_store.h"
 
+#include <iterator>
+
 #include "common/coding.h"
 #include "record/record_codec.h"
 
@@ -257,77 +259,46 @@ Result<StoreSpaceStats> IntegratedStore::SpaceStats() const {
 
 namespace tcob {
 
-Result<uint64_t> IntegratedStore::VacuumBefore(const AtomTypeDef& type,
-                                               Timestamp cutoff) {
+Result<uint64_t> IntegratedStore::RemoveClosedPrefix(
+    const AtomTypeDef& type, Timestamp cutoff, bool keep_anchor,
+    std::map<AtomId, std::vector<AtomVersion>>* removed) {
   TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
-  // Collect the atoms first (mutating clusters while scanning the heap
+  // Collect the atoms first (rewriting clusters while scanning the heap
   // could revisit relocated records).
   std::vector<AtomId> atoms;
-  {
-    std::vector<AttrType> schema = type.AttrTypes();
-    TCOB_RETURN_NOT_OK(state->heap->Scan(
-        [&](const Rid&, const Slice& rec) -> Result<bool> {
-          Slice in(rec);
-          uint64_t id;
-          TCOB_RETURN_NOT_OK(GetVarint64(&in, &id));
-          atoms.push_back(id);
-          return true;
-        }));
-  }
-  uint64_t removed = 0;
+  TCOB_RETURN_NOT_OK(state->heap->Scan(
+      [&](const Rid&, const Slice& rec) -> Result<bool> {
+        Slice in(rec);
+        uint64_t id;
+        TCOB_RETURN_NOT_OK(GetVarint64(&in, &id));
+        atoms.push_back(id);
+        return true;
+      }));
+  uint64_t dropped = 0;
   for (AtomId id : atoms) {
     Rid rid;
     TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> versions,
                           LoadCluster(type, id, &rid));
-    std::vector<AtomVersion> kept;
-    for (AtomVersion& v : versions) {
-      if (v.valid.end <= cutoff) {
-        ++removed;
-      } else {
-        kept.push_back(std::move(v));
-      }
-    }
-    if (kept.size() == versions.size()) continue;
-    std::string key;
-    PutComparableU64(&key, id);
-    if (kept.empty()) {
+    const size_t n = ClosedPrefixLength(versions, cutoff, keep_anchor);
+    if (n == 0) continue;
+    dropped += n;
+    if (n == versions.size()) {
+      std::string key;
+      PutComparableU64(&key, id);
       TCOB_RETURN_NOT_OK(state->heap->Delete(rid));
       TCOB_RETURN_NOT_OK(state->index->Delete(key));
     } else {
-      TCOB_RETURN_NOT_OK(StoreCluster(type, id, rid, kept));
+      TCOB_RETURN_NOT_OK(StoreCluster(
+          type, id, rid,
+          std::vector<AtomVersion>(versions.begin() + n, versions.end())));
+    }
+    if (removed != nullptr) {
+      std::vector<AtomVersion>& out = (*removed)[id];
+      out.insert(out.end(), std::make_move_iterator(versions.begin()),
+                 std::make_move_iterator(versions.begin() + n));
     }
   }
-  return removed;
-}
-
-Result<uint64_t> IntegratedStore::ReleaseMigrated(const AtomTypeDef& type,
-                                                  Timestamp cutoff) {
-  TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
-  std::vector<AtomId> atoms;
-  {
-    TCOB_RETURN_NOT_OK(state->heap->Scan(
-        [&](const Rid&, const Slice& rec) -> Result<bool> {
-          Slice in(rec);
-          uint64_t id;
-          TCOB_RETURN_NOT_OK(GetVarint64(&in, &id));
-          atoms.push_back(id);
-          return true;
-        }));
-  }
-  uint64_t released = 0;
-  for (AtomId id : atoms) {
-    Rid rid;
-    TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> versions,
-                          LoadCluster(type, id, &rid));
-    size_t n = MigratablePrefix(versions, cutoff);
-    if (n == 0) continue;
-    released += n;
-    // The anchor rule guarantees a non-empty remainder, so the cluster
-    // (and its index entry) always survives.
-    std::vector<AtomVersion> kept(versions.begin() + n, versions.end());
-    TCOB_RETURN_NOT_OK(StoreCluster(type, id, rid, kept));
-  }
-  return released;
+  return dropped;
 }
 
 Status IntegratedStore::VerifyStructure(const AtomTypeDef& type) const {

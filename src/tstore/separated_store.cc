@@ -1,6 +1,7 @@
 #include "tstore/separated_store.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/coding.h"
 #include "record/record_codec.h"
@@ -458,8 +459,9 @@ Result<StoreSpaceStats> SeparatedStore::SpaceStats() const {
 
 namespace tcob {
 
-Result<uint64_t> SeparatedStore::VacuumBefore(const AtomTypeDef& type,
-                                              Timestamp cutoff) {
+Result<uint64_t> SeparatedStore::RemoveClosedPrefix(
+    const AtomTypeDef& type, Timestamp cutoff, bool keep_anchor,
+    std::map<AtomId, std::vector<AtomVersion>>* removed) {
   TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
   std::vector<AttrType> schema = type.AttrTypes();
   // Snapshot the current-store entries first (we mutate while iterating
@@ -476,50 +478,53 @@ Result<uint64_t> SeparatedStore::VacuumBefore(const AtomTypeDef& type,
         return true;
       }));
 
-  uint64_t removed = 0;
+  uint64_t dropped = 0;
   for (const auto& [rid, id] : atoms) {
     TCOB_ASSIGN_OR_RETURN(std::string raw, state->current->Get(rid));
     TCOB_ASSIGN_OR_RETURN(CurrentRecord rec,
                           DecodeCurrent(schema, id, type.id, Slice(raw)));
-    // Materialize the chain newest-to-oldest.
-    std::vector<std::pair<Rid, AtomVersion>> chain;
-    Rid r = rec.chain_head;
-    while (r.valid()) {
+    // The chain oldest-first (history RIDs alongside), then the live
+    // version: the begin order the shared prefix rule expects.
+    std::vector<Rid> rids;
+    std::vector<AtomVersion> versions;
+    for (Rid r = rec.chain_head; r.valid();) {
       TCOB_ASSIGN_OR_RETURN(std::string hrec, state->history->Get(r));
       TCOB_ASSIGN_OR_RETURN(auto decoded, DecodeHistory(schema, Slice(hrec)));
-      chain.emplace_back(r, std::move(decoded.first));
+      rids.push_back(r);
+      versions.push_back(std::move(decoded.first));
       r = decoded.second;
     }
-    // Version ends decrease going older, so the drop set is a suffix.
-    size_t cut = chain.size();
-    for (size_t i = 0; i < chain.size(); ++i) {
-      if (chain[i].second.valid.end <= cutoff) {
-        cut = i;
-        break;
-      }
-    }
-    if (cut == chain.size()) continue;  // nothing to vacuum for this atom
-    // Remove the dropped suffix (records + version-index entries).
-    for (size_t i = cut; i < chain.size(); ++i) {
-      TCOB_RETURN_NOT_OK(state->history->Delete(chain[i].first));
+    std::reverse(rids.begin(), rids.end());
+    std::reverse(versions.begin(), versions.end());
+    if (rec.has_live) versions.push_back(rec.live);
+    // The live version is open-ended, so only closed versions drop.
+    const size_t n = ClosedPrefixLength(versions, cutoff, keep_anchor);
+    if (n == 0) continue;
+    for (size_t i = 0; i < n; ++i) {
+      TCOB_RETURN_NOT_OK(state->history->Delete(rids[i]));
       if (state->version_index) {
         TCOB_RETURN_NOT_OK(state->version_index->Delete(
-            VersionKey(id, chain[i].second.valid.begin)));
+            VersionKey(id, versions[i].valid.begin)));
       }
-      ++removed;
     }
-    // Rebuild the kept prefix oldest-first so the chain pointers are
+    dropped += n;
+    // Rebuild the kept chain oldest-first so the chain pointers are
     // fresh (avoids in-place pointer surgery on variable-size records).
-    for (size_t i = 0; i < cut; ++i) {
-      TCOB_RETURN_NOT_OK(state->history->Delete(chain[i].first));
+    for (size_t i = n; i < rids.size(); ++i) {
+      TCOB_RETURN_NOT_OK(state->history->Delete(rids[i]));
     }
     Rid prev;  // invalid
-    for (size_t i = cut; i-- > 0;) {
-      TCOB_ASSIGN_OR_RETURN(prev, AppendHistory(type, chain[i].second, prev));
+    for (size_t i = n; i < rids.size(); ++i) {
+      TCOB_ASSIGN_OR_RETURN(prev, AppendHistory(type, versions[i], prev));
     }
     rec.chain_head = prev;
-    rec.chain_len = static_cast<uint32_t>(cut);
-    if (!rec.has_live && cut == 0) {
+    rec.chain_len = static_cast<uint32_t>(rids.size() - n);
+    if (removed != nullptr) {
+      std::vector<AtomVersion>& out = (*removed)[id];
+      out.insert(out.end(), std::make_move_iterator(versions.begin()),
+                 std::make_move_iterator(versions.begin() + n));
+    }
+    if (!rec.has_live && n == rids.size()) {
       // The whole atom predates the cutoff: forget it entirely.
       TCOB_RETURN_NOT_OK(state->current->Delete(rid));
       std::string key;
@@ -529,77 +534,7 @@ Result<uint64_t> SeparatedStore::VacuumBefore(const AtomTypeDef& type,
     }
     TCOB_RETURN_NOT_OK(StoreCurrent(type, id, rid, rec));
   }
-  return removed;
-}
-
-Result<uint64_t> SeparatedStore::ReleaseMigrated(const AtomTypeDef& type,
-                                                 Timestamp cutoff) {
-  TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
-  std::vector<AttrType> schema = type.AttrTypes();
-  // Snapshot the current-store entries first (we mutate while iterating
-  // otherwise).
-  std::vector<std::pair<Rid, AtomId>> atoms;
-  TCOB_RETURN_NOT_OK(state->current->Scan(
-      [&](const Rid& rid, const Slice& raw) -> Result<bool> {
-        Slice peek(raw);
-        if (peek.empty()) return Status::Corruption("empty current record");
-        peek.RemovePrefix(1);
-        uint64_t id;
-        TCOB_RETURN_NOT_OK(GetVarint64(&peek, &id));
-        atoms.emplace_back(rid, id);
-        return true;
-      }));
-
-  uint64_t removed = 0;
-  for (const auto& [rid, id] : atoms) {
-    TCOB_ASSIGN_OR_RETURN(std::string raw, state->current->Get(rid));
-    TCOB_ASSIGN_OR_RETURN(CurrentRecord rec,
-                          DecodeCurrent(schema, id, type.id, Slice(raw)));
-    // Materialize the chain newest-to-oldest.
-    std::vector<std::pair<Rid, AtomVersion>> chain;
-    Rid r = rec.chain_head;
-    while (r.valid()) {
-      TCOB_ASSIGN_OR_RETURN(std::string hrec, state->history->Get(r));
-      TCOB_ASSIGN_OR_RETURN(auto decoded, DecodeHistory(schema, Slice(hrec)));
-      chain.emplace_back(r, std::move(decoded.first));
-      r = decoded.second;
-    }
-    // The shared migration predicate wants the versions sorted by begin:
-    // the reversed chain followed by the live version.
-    std::vector<AtomVersion> versions;
-    versions.reserve(chain.size() + 1);
-    for (size_t i = chain.size(); i-- > 0;) versions.push_back(chain[i].second);
-    if (rec.has_live) versions.push_back(rec.live);
-    size_t migrate = MigratablePrefix(versions, cutoff);
-    if (migrate == 0) continue;
-    // The oldest `migrate` versions are the last ones of the newest-first
-    // chain; remove them (records + version-index entries).
-    size_t cut = chain.size() - migrate;
-    for (size_t i = cut; i < chain.size(); ++i) {
-      TCOB_RETURN_NOT_OK(state->history->Delete(chain[i].first));
-      if (state->version_index) {
-        TCOB_RETURN_NOT_OK(state->version_index->Delete(
-            VersionKey(id, chain[i].second.valid.begin)));
-      }
-      ++removed;
-    }
-    // Rebuild the kept prefix oldest-first so the chain pointers are
-    // fresh (same scheme as VacuumBefore).
-    for (size_t i = 0; i < cut; ++i) {
-      TCOB_RETURN_NOT_OK(state->history->Delete(chain[i].first));
-    }
-    Rid prev;  // invalid
-    for (size_t i = cut; i-- > 0;) {
-      TCOB_ASSIGN_OR_RETURN(prev, AppendHistory(type, chain[i].second, prev));
-    }
-    rec.chain_head = prev;
-    rec.chain_len = static_cast<uint32_t>(cut);
-    // Unlike VacuumBefore there is no "forget entirely" case: the anchor
-    // rule keeps the newest closed version (or the live one) hot, so the
-    // current record always survives migration.
-    TCOB_RETURN_NOT_OK(StoreCurrent(type, id, rid, rec));
-  }
-  return removed;
+  return dropped;
 }
 
 Status SeparatedStore::VerifyStructure(const AtomTypeDef& type) const {

@@ -44,10 +44,9 @@ class SeparatedStore : public TemporalAtomStore {
   Status Delete(const AtomTypeDef& type, AtomId id, Timestamp from) override;
 
   Result<StoreSpaceStats> SpaceStats() const override;
-  Result<uint64_t> VacuumBefore(const AtomTypeDef& type,
-                                Timestamp cutoff) override;
-  Result<uint64_t> ReleaseMigrated(const AtomTypeDef& type,
-                                   Timestamp cutoff) override;
+  Result<uint64_t> RemoveClosedPrefix(
+      const AtomTypeDef& type, Timestamp cutoff, bool keep_anchor,
+      std::map<AtomId, std::vector<AtomVersion>>* removed) override;
 
   /// B+-tree invariants of both indexes, plus every index entry must
   /// resolve to a readable heap record.

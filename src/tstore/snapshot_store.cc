@@ -1,6 +1,6 @@
 #include "tstore/snapshot_store.h"
 
-#include <algorithm>
+#include <iterator>
 
 #include "common/coding.h"
 
@@ -272,68 +272,47 @@ Result<StoreSpaceStats> SnapshotStore::SpaceStats() const {
 
 namespace tcob {
 
-Result<uint64_t> SnapshotStore::VacuumBefore(const AtomTypeDef& type,
-                                             Timestamp cutoff) {
+Result<uint64_t> SnapshotStore::RemoveClosedPrefix(
+    const AtomTypeDef& type, Timestamp cutoff, bool keep_anchor,
+    std::map<AtomId, std::vector<AtomVersion>>* removed) {
   TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
   std::vector<AttrType> schema = type.AttrTypes();
-  struct Victim {
-    Rid rid;
-    AtomId id;
-    uint32_t version_no;
-  };
-  std::vector<Victim> victims;
-  TCOB_RETURN_NOT_OK(state->heap->Scan(
-      [&](const Rid& rid, const Slice& rec) -> Result<bool> {
-        Slice in(rec);
-        TCOB_ASSIGN_OR_RETURN(AtomVersion v, DecodeAtomVersion(schema, &in));
-        if (v.valid.end <= cutoff) {
-          victims.push_back({rid, v.id, v.version_no});
-        }
-        return true;
-      }));
-  for (const Victim& victim : victims) {
-    TCOB_RETURN_NOT_OK(state->heap->Delete(victim.rid));
-    TCOB_RETURN_NOT_OK(
-        state->index->Delete(VersionKey(victim.id, victim.version_no)));
-  }
-  return static_cast<uint64_t>(victims.size());
-}
-
-Result<uint64_t> SnapshotStore::ReleaseMigrated(const AtomTypeDef& type,
-                                                Timestamp cutoff) {
-  TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
-  std::vector<AttrType> schema = type.AttrTypes();
-  struct Located {
-    Rid rid;
-    AtomVersion v;
-  };
-  std::map<AtomId, std::vector<Located>> by_atom;
-  TCOB_RETURN_NOT_OK(state->heap->Scan(
-      [&](const Rid& rid, const Slice& rec) -> Result<bool> {
-        Slice in(rec);
-        TCOB_ASSIGN_OR_RETURN(AtomVersion v, DecodeAtomVersion(schema, &in));
-        by_atom[v.id].push_back({rid, std::move(v)});
-        return true;
-      }));
-  uint64_t released = 0;
-  for (auto& [id, chain] : by_atom) {
-    (void)id;
-    std::sort(chain.begin(), chain.end(),
-              [](const Located& a, const Located& b) {
-                return a.v.valid.begin < b.v.valid.begin;
-              });
+  // Every atom's chain in begin order, as the version index sorts it;
+  // collected whole first, since the tree must not change under its own
+  // scan.
+  struct Chain {
+    std::vector<Rid> rids;
     std::vector<AtomVersion> versions;
-    versions.reserve(chain.size());
-    for (const Located& l : chain) versions.push_back(l.v);
-    size_t n = MigratablePrefix(versions, cutoff);
+  };
+  std::map<AtomId, Chain> chains;
+  TCOB_RETURN_NOT_OK(state->index->Scan(
+      Slice(), Slice(), [&](const Slice&, uint64_t packed) -> Result<bool> {
+        const Rid rid = Rid::Unpack(packed);
+        TCOB_ASSIGN_OR_RETURN(std::string rec, state->heap->Get(rid));
+        Slice in(rec);
+        TCOB_ASSIGN_OR_RETURN(AtomVersion v, DecodeAtomVersion(schema, &in));
+        Chain& chain = chains[v.id];
+        chain.rids.push_back(rid);
+        chain.versions.push_back(std::move(v));
+        return true;
+      }));
+  uint64_t dropped = 0;
+  for (auto& [id, chain] : chains) {
+    const size_t n = ClosedPrefixLength(chain.versions, cutoff, keep_anchor);
+    if (n == 0) continue;
     for (size_t i = 0; i < n; ++i) {
-      TCOB_RETURN_NOT_OK(state->heap->Delete(chain[i].rid));
-      TCOB_RETURN_NOT_OK(state->index->Delete(
-          VersionKey(chain[i].v.id, chain[i].v.version_no)));
-      ++released;
+      TCOB_RETURN_NOT_OK(state->heap->Delete(chain.rids[i]));
+      TCOB_RETURN_NOT_OK(
+          state->index->Delete(VersionKey(id, chain.versions[i].version_no)));
+    }
+    dropped += n;
+    if (removed != nullptr) {
+      std::vector<AtomVersion>& out = (*removed)[id];
+      out.insert(out.end(), std::make_move_iterator(chain.versions.begin()),
+                 std::make_move_iterator(chain.versions.begin() + n));
     }
   }
-  return released;
+  return dropped;
 }
 
 Status SnapshotStore::VerifyStructure(const AtomTypeDef& type) const {

@@ -54,55 +54,17 @@ ColdTierAccessStats TemporalAtomStore::cold_access_stats() const {
   return cold_ ? cold_->access_stats() : ColdTierAccessStats{};
 }
 
-size_t TemporalAtomStore::MigratablePrefix(
-    const std::vector<AtomVersion>& versions, Timestamp cutoff) {
+size_t TemporalAtomStore::ClosedPrefixLength(
+    const std::vector<AtomVersion>& versions, Timestamp cutoff,
+    bool keep_anchor) {
   size_t n = 0;
   while (n < versions.size() && !versions[n].valid.open_ended() &&
          versions[n].valid.end <= cutoff) {
     ++n;
   }
-  // Anchor rule: a fully-historical atom keeps its newest version hot.
-  if (n == versions.size() && n > 0) --n;
+  // Anchor rule: a fully-historical atom keeps its newest version.
+  if (keep_anchor && n == versions.size() && n > 0) --n;
   return n;
-}
-
-Result<std::map<AtomId, std::vector<AtomVersion>>>
-TemporalAtomStore::CollectMigratable(const AtomTypeDef& type,
-                                     Timestamp cutoff) const {
-  std::map<AtomId, std::vector<AtomVersion>> by_atom;
-  TCOB_RETURN_NOT_OK(DoScanVersions(
-      type, Interval::All(), [&](const AtomVersion& v) -> Result<bool> {
-        by_atom[v.id].push_back(v);
-        return true;
-      }));
-  // DoScanVersions merges the tiers; already-cold versions must not
-  // migrate again. They are strictly the oldest prefix of each merged
-  // timeline, so dropping the first |cold| entries leaves hot only.
-  std::map<AtomId, std::vector<AtomVersion>> cold_atoms;
-  TCOB_RETURN_NOT_OK(ColdCollectAll(type, Interval::All(), &cold_atoms));
-  std::map<AtomId, std::vector<AtomVersion>> out;
-  for (auto& [id, versions] : by_atom) {
-    std::sort(versions.begin(), versions.end(),
-              [](const AtomVersion& a, const AtomVersion& b) {
-                return a.valid.begin < b.valid.begin;
-              });
-    auto cold_it = cold_atoms.find(id);
-    if (cold_it != cold_atoms.end()) {
-      if (versions.size() < cold_it->second.size()) {
-        return Status::Corruption("atom " + std::to_string(id) +
-                                  " of type " + type.name +
-                                  ": fewer versions than its cold tier");
-      }
-      versions.erase(versions.begin(),
-                     versions.begin() +
-                         static_cast<ptrdiff_t>(cold_it->second.size()));
-    }
-    size_t n = MigratablePrefix(versions, cutoff);
-    if (n == 0) continue;
-    versions.resize(n);
-    out.emplace(id, std::move(versions));
-  }
-  return out;
 }
 
 Result<std::vector<AtomVersion>> TemporalAtomStore::ColdVersions(
@@ -128,10 +90,10 @@ Status TemporalAtomStore::VerifyIntegrity(const AtomTypeDef& type) const {
   if (cold_ != nullptr) {
     TCOB_RETURN_NOT_OK(cold_->VerifyIntegrity(type));
     // DoScanVersions above already merged the tiers, so cross-tier
-    // overlap — e.g. a version that migrated but was never released
-    // from the hot store — appears twice and TimelineOf below catches
-    // it. What remains to check is the anchor rule: every atom with
-    // cold history must keep at least one hot (or live) version.
+    // overlap — e.g. a version written to a segment but still in the
+    // hot store — appears twice and TimelineOf below catches it. What
+    // remains to check is the anchor rule: every atom with cold history
+    // must keep at least one hot (or live) version.
     std::map<AtomId, std::vector<AtomVersion>> cold_atoms;
     TCOB_RETURN_NOT_OK(cold_->CollectAll(type, Interval::All(), &cold_atoms));
     for (auto& [id, versions] : cold_atoms) {

@@ -212,50 +212,41 @@ class TemporalAtomStore {
     return Status::OK();
   }
 
-  /// Temporal vacuuming: physically removes every version whose validity
-  /// ends at or before `cutoff` (versions overlapping the cutoff stay).
-  /// Returns the number of versions removed. Vacuuming is a physical
-  /// reorganization, not a logged operation — the Database wraps it in
-  /// checkpoints so WAL replay never observes a vacuumed store.
-  virtual Result<uint64_t> VacuumBefore(const AtomTypeDef& type,
-                                        Timestamp cutoff) = 0;
+  /// The one physical reclamation primitive, behind both VACUUM and cold
+  /// migration: drops each atom's oldest versions whose validity ended
+  /// at or before `cutoff` (versions overlapping the cutoff stay). With
+  /// `keep_anchor`, an atom whose versions would all go keeps its newest
+  /// one (the anchor rule — the hot store never forgets a migrated atom,
+  /// so id allocation, version numbering and NotFound semantics are
+  /// identical with and without tiering); without it, such an atom is
+  /// forgotten. When `removed` is non-null the dropped versions are
+  /// appended to it, per atom in ascending begin order. Touches only the
+  /// hot store. Returns the number of versions dropped. A physical
+  /// reorganization, not a logged operation: the Database runs it inside
+  /// a checkpoint fence so WAL replay never observes it.
+  virtual Result<uint64_t> RemoveClosedPrefix(
+      const AtomTypeDef& type, Timestamp cutoff, bool keep_anchor,
+      std::map<AtomId, std::vector<AtomVersion>>* removed) = 0;
 
   // ---- cold-history tiering ----
 
   /// Attaches the cold tier. Afterwards every public read transparently
   /// merges hot store + cold segments in timeline order; mutations and
-  /// NotFound semantics are unaffected (the anchor rule below keeps at
-  /// least one version of every atom hot).
+  /// NotFound semantics are unaffected (the anchor rule keeps at least
+  /// one version of every migrated atom hot).
   void AttachColdTier(ColdTier* cold) { cold_ = cold; }
   ColdTier* cold_tier() const { return cold_; }
 
   /// Snapshot of the attached tier's read counters (zeros when none).
   ColdTierAccessStats cold_access_stats() const;
 
-  /// Versions eligible for migration at `cutoff`, grouped per atom in
-  /// ascending begin order: every version with valid.end <= cutoff,
-  /// except that an atom whose versions would *all* migrate keeps its
-  /// newest one hot (the anchor rule — hot stores never forget an atom,
-  /// so id allocation, version numbering and NotFound semantics are
-  /// identical with and without tiering). Reads only hot state.
-  Result<std::map<AtomId, std::vector<AtomVersion>>> CollectMigratable(
-      const AtomTypeDef& type, Timestamp cutoff) const;
-
-  /// Physically removes exactly the versions CollectMigratable(cutoff)
-  /// reported — called after they were durably written to the cold
-  /// tier. Returns the number of versions removed.
-  virtual Result<uint64_t> ReleaseMigrated(const AtomTypeDef& type,
-                                           Timestamp cutoff) = 0;
-
  protected:
-  /// Shared migration predicate: number of leading versions of a
-  /// begin-sorted, non-overlapping chain that migrate at `cutoff`
-  /// (closed versions form a prefix; the anchor rule holds one back
-  /// when the whole chain is old). CollectMigratable and every
-  /// ReleaseMigrated implementation use this, so the two sides always
-  /// agree exactly.
-  static size_t MigratablePrefix(const std::vector<AtomVersion>& versions,
-                                 Timestamp cutoff);
+  /// Number of leading versions of a begin-sorted, non-overlapping chain
+  /// that RemoveClosedPrefix drops: the versions ended at or before
+  /// `cutoff` (closed versions form a prefix), less the newest one when
+  /// `keep_anchor` holds and the whole chain qualifies.
+  static size_t ClosedPrefixLength(const std::vector<AtomVersion>& versions,
+                                   Timestamp cutoff, bool keep_anchor);
 
   // Cold-tier read helpers for the strategy implementations; all are
   // no-ops (empty / false) when no tier is attached. Implemented in the

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -170,6 +171,32 @@ TEST_P(CorruptionTest, CorruptMetaFileIsDiagnosedNotTrusted) {
       EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
     }
     FlipByte(meta, off);
+  }
+  EXPECT_TRUE(Database::Open(db_dir(), Options()).ok());
+}
+
+TEST_P(CorruptionTest, TruncatedMetaFileIsCorruption) {
+  // No code path writes a meta file of any size but the full one, so a
+  // short file is damage — never a format to read NOW from.
+  Populate();
+  const std::string meta = db_dir() + "/clock.tcob";
+  std::string bytes;
+  {
+    std::ifstream in(meta, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(bytes.empty());
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::filesystem::resize_file(meta, len);
+    auto db = Database::Open(db_dir(), Options());
+    EXPECT_FALSE(db.ok()) << "meta truncated to " << len << " byte(s) opened";
+    if (!db.ok()) {
+      EXPECT_TRUE(db.status().IsCorruption())
+          << len << ": " << db.status().ToString();
+    }
+    std::ofstream out(meta, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_TRUE(Database::Open(db_dir(), Options()).ok());
 }

@@ -9,7 +9,9 @@
 //   - an injected read error surfaces as IOError — during Open and
 //     during a query — never as a crash or a wrong answer,
 //   - a corrupt WAL tail is detected, dropped, and reported through
-//     RecoveryStats.
+//     RecoveryStats,
+//   - a read error inside VACUUM or cold migration fails the instance
+//     hard, and a reopen serves the image from before the operation.
 
 #include <gtest/gtest.h>
 
@@ -451,6 +453,130 @@ TEST_P(FaultInjectionTest, ApplyFailureAfterLoggingEntersFailedMode) {
                  "SELECT Emp.name FROM DeptMol WHERE Emp.salary = 10 "
                  "VALID AT 25"),
             0u);
+}
+
+/// kSetup plus history to reorganize: twelve more Emps (atoms 3..14),
+/// each updated at 20, 30, ..., 100, every third one deleted at 110 and
+/// every fourth one disconnected at 105; NOW is 200 afterwards.
+std::string ReorganizationScript() {
+  std::string script = kSetup;
+  script += "CREATE INDEX EmpSalary ON Emp (salary);";
+  for (int i = 0; i < 12; ++i) {
+    script += "INSERT ATOM Emp (name='e" + std::to_string(i) +
+              "', salary=" + std::to_string(i) + ") VALID FROM 10;";
+    script += "CONNECT DeptEmp FROM 1 TO " + std::to_string(3 + i) +
+              " VALID FROM 10;";
+  }
+  for (int t = 20; t <= 100; t += 10) {
+    for (int i = 0; i < 12; ++i) {
+      script += "UPDATE ATOM Emp " + std::to_string(3 + i) +
+                " SET salary=" + std::to_string(t + i) + " VALID FROM " +
+                std::to_string(t) + ";";
+    }
+  }
+  for (int i = 0; i < 12; i += 4) {
+    script += "DISCONNECT DeptEmp FROM 1 TO " + std::to_string(3 + i) +
+              " VALID FROM 105;";
+  }
+  for (int i = 0; i < 12; i += 3) {
+    script += "DELETE ATOM Emp " + std::to_string(3 + i) + " VALID FROM 110;";
+  }
+  return script;
+}
+
+TEST_P(FaultInjectionTest, ReadErrorInsideReorganizationFailsHard) {
+  // VACUUM and cold migration rewrite pages between two checkpoints and
+  // log nothing. Reads do not poison, so a read error in between must
+  // fail the instance hard: otherwise its next checkpoint (the
+  // destructor's included) makes the half-reorganized image durable. A
+  // reopen restores the leading checkpoint's image. A fault past the
+  // trailing checkpoint's commit point (its journal apply reads) only
+  // poisons, and the reopen serves the finished reorganization.
+  for (const bool migrate : {false, true}) {
+    SCOPED_TRACE(migrate ? "TierMigrate" : "VacuumBefore");
+    std::unique_ptr<FaultInjectingIoEnv> env;
+    DatabaseOptions options = Options(nullptr);
+    options.tiering.enabled = migrate;
+    options.tiering.cold_age = 80;  // cutoff 120, the vacuum's too
+    options.tiering.segment_target_bytes = 512;  // several segments
+    auto open = [&]() {
+      options.env = env.get();
+      auto db = Database::Open(db_dir(), options);
+      EXPECT_TRUE(db.ok()) << db.status().ToString();
+      return db.ok() ? std::move(db).value() : nullptr;
+    };
+    auto reorganize = [&](Database* db) {
+      return migrate ? db->TierMigrate() : db->VacuumBefore(120);
+    };
+    // The pre-operation image in a fresh environment; the clean close
+    // checkpoints, so every open below starts with a cold pool.
+    auto build = [&]() {
+      env = std::make_unique<FaultInjectingIoEnv>();
+      std::unique_ptr<Database> db = open();
+      ASSERT_NE(db, nullptr);
+      auto r = db->ExecuteScript(ReorganizationScript());
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      db->SetNow(200);
+    };
+    // What a reopen serves — the logical image plus the number of cold
+    // versions, since migration moves versions without changing facts;
+    // its integrity must hold.
+    auto reopened_state = [&]() -> std::string {
+      std::unique_ptr<Database> db = open();
+      if (db == nullptr) return "";
+      Status integrity = db->VerifyIntegrity();
+      EXPECT_TRUE(integrity.ok()) << integrity.ToString();
+      auto dump = db->Dump();
+      EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+      uint64_t cold = 0;
+      if (db->cold_tier() != nullptr) {
+        for (const AtomTypeDef* type : db->catalog().AtomTypes()) {
+          auto stats = db->cold_tier()->SpaceStats(*type);
+          EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+          if (stats.ok()) cold += stats.value().versions;
+        }
+      }
+      return (dump.ok() ? dump.value() : "") + "|cold " +
+             std::to_string(cold);
+    };
+
+    ASSERT_NO_FATAL_FAILURE(build());
+    const std::string pre = reopened_state();
+    {
+      std::unique_ptr<Database> db = open();
+      ASSERT_NE(db, nullptr);
+      auto done = reorganize(db.get());
+      ASSERT_TRUE(done.ok()) << done.status().ToString();
+      ASSERT_GT(done.value(), 0u);
+    }
+    const std::string post = reopened_state();
+    ASSERT_TRUE(pre != post);  // a vacuum drops versions, migration moves them
+    ASSERT_NO_FATAL_FAILURE(build());
+
+    uint64_t failed_hard = 0;
+    for (uint64_t k = 1;; ++k) {
+      SCOPED_TRACE("read fault " + std::to_string(k));
+      std::unique_ptr<Database> db = open();
+      ASSERT_NE(db, nullptr);
+      env->FailReadAt(env->reads() + k);
+      auto done = reorganize(db.get());
+      env->ClearFaults();
+      if (done.ok()) break;  // the fault fell past the operation's reads
+      const HealthState health = db->health_state();
+      ASSERT_NE(health, HealthState::kHealthy) << done.status().ToString();
+      EXPECT_FALSE(db->Checkpoint().ok());
+      db.reset();
+      const std::string reopened = reopened_state();
+      if (health == HealthState::kFailed) {
+        ++failed_hard;
+        EXPECT_TRUE(reopened == pre) << done.status().ToString();
+      } else {
+        EXPECT_TRUE(reopened == post) << done.status().ToString();
+        ASSERT_NO_FATAL_FAILURE(build());
+      }
+    }
+    EXPECT_GT(failed_hard, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, FaultInjectionTest,

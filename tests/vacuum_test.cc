@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/temp_dir.h"
 #include "db/database.h"
 #include "db/transaction.h"
 #include "query/parser.h"
+#include "storage/fault_env.h"
 
 namespace tcob {
 namespace {
@@ -213,6 +219,73 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, VacuumTest,
                          [](const auto& info) {
                            return StorageStrategyName(info.param);
                          });
+
+TEST(ReorganizationTest, ValidationNeverSeesAHalfReorganizedStore) {
+  // Transaction validation reads the stores beside other writers, and
+  // page contents carry no latch. Vacuum and migration rewrite pages
+  // just as a commit's apply does, so they must hold validation off the
+  // same way. One thread validates updates of live atoms while the main
+  // thread keeps updating, migrating and vacuuming; every update must
+  // validate.
+  FaultInjectingIoEnv env;  // in memory: the many checkpoints stay cheap
+  DatabaseOptions options;
+  options.strategy = StorageStrategy::kSnapshot;
+  options.env = &env;
+  options.parallelism = 1;
+  options.tiering.enabled = true;
+  options.tiering.cold_age = 20;
+  auto opened = Database::Open("db", options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Database* db = opened.value().get();
+  ASSERT_TRUE(
+      db->Execute("CREATE ATOM_TYPE Emp (name STRING, salary INT)").ok());
+  std::vector<AtomId> ids;
+  for (int i = 0; i < 16; ++i) {
+    auto id = db->InsertAtom("Emp", {{"salary", Value::Int(i)}}, 10);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> validated{0};
+  std::atomic<uint64_t> refused{0};
+  std::string first_refusal;  // written by the validator before join
+  std::thread validator([&] {
+    for (size_t i = 0; !stop.load(); ++i) {
+      Transaction txn = db->Begin();
+      Status s = txn.UpdateAtom("Emp", ids[i % ids.size()],
+                                {{"salary", Value::Int(-1)}}, 1000000);
+      if (s.ok()) {
+        validated.fetch_add(1);
+      } else if (refused.fetch_add(1) == 0) {
+        first_refusal = s.ToString();
+      }
+      txn.Abort();
+    }
+  });
+  Status failure;
+  for (Timestamp t = 20; t <= 2000 && failure.ok(); t += 10) {
+    for (AtomId id : ids) {
+      failure = db->UpdateAtom("Emp", id, {{"salary", Value::Int(t)}}, t);
+      if (!failure.ok()) break;
+    }
+    if (failure.ok()) failure = db->TierMigrate().status();
+    if (failure.ok()) {
+      // Refused only while a validator snapshot is still below the
+      // cutoff, which a stalled thread can cause; that vacuum just
+      // waits for the next round.
+      Status vacuumed = db->VacuumBefore(t - 40).status();
+      if (!vacuumed.IsFailedPrecondition()) failure = vacuumed;
+    }
+  }
+  stop.store(true);
+  validator.join();
+  ASSERT_TRUE(failure.ok()) << failure.ToString();
+  EXPECT_EQ(refused.load(), 0u)
+      << "of " << validated.load() + refused.load()
+      << " validations, first: " << first_refusal;
+  EXPECT_GT(validated.load(), 0u);
+}
 
 }  // namespace
 }  // namespace tcob

@@ -25,7 +25,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "sim/harness.h"
 #include "sim/shrink.h"
@@ -114,6 +116,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 
 void WriteArtifact(const Args& args, const tcob::sim::ShrinkResult& shrunk) {
   if (args.artifact_dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(args.artifact_dir, ec);
+  if (ec) {
+    std::fprintf(stderr,
+                 "fuzz_sim: cannot create artifact directory %s: %s\n",
+                 args.artifact_dir.c_str(), ec.message().c_str());
+    return;
+  }
   std::string path = args.artifact_dir + "/seed-" +
                      std::to_string(shrunk.workload.seed) + ".trace";
   FILE* f = std::fopen(path.c_str(), "w");
