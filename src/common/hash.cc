@@ -1,6 +1,11 @@
 #include "common/hash.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace tcob {
 
@@ -21,7 +26,7 @@ std::array<uint32_t, 256> MakeCrc32cTable() {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+uint32_t Crc32cSoftware(const void* data, size_t len, uint32_t seed) {
   static const std::array<uint32_t, 256> kTable = MakeCrc32cTable();
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
@@ -29,6 +34,48 @@ uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
     crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+// Compiled for SSE4.2 without a build flag; only called after the
+// runtime check, so the binary still runs on CPUs without it.
+__attribute__((target("sse4.2"))) uint32_t Crc32cHardware(const void* data,
+                                                          size_t len,
+                                                          uint32_t seed) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t crc = ~seed;
+  for (; len >= 8; p += 8, len -= 8) {
+    uint64_t word;
+    memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; len > 0; ++p, --len) crc32 = _mm_crc32_u8(crc32, *p);
+  return ~crc32;
+}
+
+bool Crc32cHardwareAvailable() {
+  static const bool kAvailable = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return kAvailable;
+}
+
+#else
+
+uint32_t Crc32cHardware(const void* data, size_t len, uint32_t seed) {
+  return Crc32cSoftware(data, len, seed);
+}
+
+bool Crc32cHardwareAvailable() { return false; }
+
+#endif
+
+uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+  return Crc32cHardwareAvailable() ? Crc32cHardware(data, len, seed)
+                                   : Crc32cSoftware(data, len, seed);
 }
 
 }  // namespace tcob

@@ -23,9 +23,18 @@ inline uint32_t Checksum32(const void* data, size_t len) {
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
-/// CRC-32C (Castagnoli), table-driven software implementation; used for
-/// the per-page checksum footers. `seed` chains incremental updates.
+/// CRC-32C (Castagnoli); used for the page checksum footers, the page
+/// journal, the WAL and cold segments. `seed` chains incremental updates.
+/// Runs the SSE4.2 `crc32` instruction when the CPU has it (checked once),
+/// and the table-driven software CRC otherwise.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);
+
+/// The two implementations behind Crc32c, exposed so tests can hold them
+/// to the same answers. Crc32cHardware may only be called when
+/// Crc32cHardwareAvailable() is true (never on a non-x86-64 build).
+uint32_t Crc32cSoftware(const void* data, size_t len, uint32_t seed = 0);
+uint32_t Crc32cHardware(const void* data, size_t len, uint32_t seed = 0);
+bool Crc32cHardwareAvailable();
 
 }  // namespace tcob
 

@@ -115,7 +115,7 @@ Status Database::Init() {
   store_ = MakeTemporalStore(options_.strategy, pool_.get(),
                              std::string(StorageStrategyName(
                                  options_.strategy)),
-                             options_.store);
+                             options_.store, &index_counters_);
   if (options_.tiering.enabled) {
     // Attached as soon as the store exists, so every read through it,
     // recovery's included, merges the cold history. Replayed mutations
@@ -128,7 +128,8 @@ Status Database::Init() {
     store_->AttachColdTier(cold_tier_.get());
   }
   links_ = std::make_unique<LinkStore>(pool_.get(), "links");
-  attr_indexes_ = std::make_unique<AttrIndexManager>(pool_.get(), &catalog_);
+  attr_indexes_ = std::make_unique<AttrIndexManager>(pool_.get(), &catalog_,
+                                                     &index_counters_);
   TCOB_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Open(dir_ + "/wal.log", env_));
   wal_->set_trace(&trace_rec_);
   TCOB_RETURN_NOT_OK(LoadMeta());
@@ -193,6 +194,9 @@ void Database::RegisterMetrics() {
   metrics_.RegisterCounter("tcob_txns_aborted_total", &txns_aborted_total_);
   metrics_.RegisterCounter("tcob_txn_conflicts_total",
                            &txn_conflicts_total_);
+  metrics_.RegisterCounter("tcob_index_probes_total", &index_counters_.probes);
+  metrics_.RegisterCounter("tcob_index_node_visits_total",
+                           &index_counters_.node_visits);
   metrics_.RegisterHistogram("tcob_query_latency_us", &query_latency_us_);
   metrics_.RegisterGaugeFn("tcob_txns_active", [this]() {
     return static_cast<int64_t>(txn_manager_.active_txns());
@@ -951,6 +955,7 @@ struct Database::SelectCursorContext {
   StoreAccessStats store_before;
   ColdTierAccessStats tiering_before;
   BufferPoolStats pool_before;
+  IndexStats index_before;
   /// Cancellation scope of this query (deadline armed from options);
   /// shared with the cursor so Cancel() reaches a step in progress.
   std::shared_ptr<QueryContext> qctx;
@@ -1041,6 +1046,7 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   ctx->store_before = store_->access_stats();
   ctx->tiering_before = store_->cold_access_stats();
   ctx->pool_before = pool_->stats();
+  ctx->index_before = index_counters_.stats();
   ctx->qctx = QueryContext::WithDeadline(options_.default_query_deadline_micros);
   ctx->query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
   ctx->qctx->set_query_id(ctx->query_id);
@@ -1132,6 +1138,8 @@ void Database::FinalizeSelectTrace(SelectCursorContext* ctx) {
   trace.tiering -= ctx->tiering_before;
   trace.pool = pool_->stats();
   trace.pool -= ctx->pool_before;
+  trace.index = index_counters_.stats();
+  trace.index -= ctx->index_before;
   trace.total_us = trace.parse_us + ctx->total_timer.ElapsedUs();
   if (ctx->lease.has_value()) {
     trace.peak_memory_bytes = ctx->lease->peak();

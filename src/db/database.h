@@ -640,6 +640,9 @@ class Database {
   Counter txns_committed_total_;
   Counter txns_aborted_total_;
   Counter txn_conflicts_total_;
+  /// Work of every B+-tree of this database (stores and attribute
+  /// indexes), declared before them.
+  IndexCounters index_counters_;
   Histogram query_latency_us_{Histogram::LatencyBucketsUs()};
   /// Global query-memory budget; cap from options_ (0 = unlimited).
   ResourceBudget memory_budget_{options_.memory_budget_bytes};

@@ -130,6 +130,33 @@ void Transaction::Buffer(WalOp op) {
   ops_.push_back(std::move(op));
 }
 
+Status Transaction::ReadAsOfSnapshot(const AtomTypeDef& type, AtomId id,
+                                     AtomOverlay* overlay) const {
+  Result<std::optional<AtomVersion>> live =
+      db_->store()->GetAsOf(type, id, snapshot_);
+  if (!live.ok() && !live.status().IsNotFound()) return live.status();
+  if (live.ok() && live.value().has_value()) {
+    overlay->exists = true;
+    overlay->live = true;
+    overlay->live_begin = live.value()->valid.begin;
+    overlay->attrs = std::move(live.value()->attrs);
+    return Status::OK();
+  }
+  // Only the whole history tells an atom that is dead at the snapshot
+  // from one whose first version began after it.
+  Result<std::vector<AtomVersion>> versions =
+      db_->store()->GetVersions(type, id, Interval::All());
+  if (!versions.ok() && !versions.status().IsNotFound()) {
+    return versions.status();
+  }
+  if (versions.ok()) {
+    for (const AtomVersion& v : versions.value()) {
+      if (v.valid.begin <= snapshot_) overlay->exists = true;
+    }
+  }
+  return Status::OK();
+}
+
 Result<Transaction::AtomOverlay*> Transaction::OverlayFor(
     const AtomTypeDef& type, AtomId id) {
   const auto key = std::make_pair(type.id, id);
@@ -140,28 +167,20 @@ Result<Transaction::AtomOverlay*> Transaction::OverlayFor(
   // Snapshot read: the version valid at the snapshot instant. Versions
   // beginning after it were committed after Begin() and stay invisible;
   // one closed after it is still open as far as this transaction can
-  // see (the closing writer wins the conflict check if we collide).
-  Result<std::optional<AtomVersion>> live =
-      db_->store()->GetAsOf(type, id, snapshot_);
-  if (!live.ok() && !live.status().IsNotFound()) return live.status();
-  if (live.ok() && live.value().has_value()) {
+  // see (the closing writer wins the conflict check if we collide). The
+  // newest version answers alone unless it began after the snapshot.
+  Result<AtomVersion> newest = db_->store()->GetNewest(type, id);
+  if (!newest.ok()) {
+    if (!newest.status().IsNotFound()) return newest.status();
+  } else if (newest->valid.Contains(snapshot_)) {
     overlay.exists = true;
     overlay.live = true;
-    overlay.live_begin = live.value()->valid.begin;
-    overlay.attrs = std::move(live.value()->attrs);
+    overlay.live_begin = newest->valid.begin;
+    overlay.attrs = std::move(newest->attrs);
+  } else if (newest->valid.begin <= snapshot_) {
+    overlay.exists = true;  // dead at the snapshot
   } else {
-    // Refusal path: only the whole history tells an unknown atom
-    // (NotFound) from one that is dead at the snapshot.
-    Result<std::vector<AtomVersion>> versions =
-        db_->store()->GetVersions(type, id, Interval::All());
-    if (!versions.ok() && !versions.status().IsNotFound()) {
-      return versions.status();
-    }
-    if (versions.ok()) {
-      for (const AtomVersion& v : versions.value()) {
-        if (v.valid.begin <= snapshot_) overlay.exists = true;
-      }
-    }
+    TCOB_RETURN_NOT_OK(ReadAsOfSnapshot(type, id, &overlay));
   }
   return &atoms_.emplace(key, std::move(overlay)).first->second;
 }

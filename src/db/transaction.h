@@ -147,6 +147,10 @@ class Transaction {
   };
 
   Result<AtomOverlay*> OverlayFor(const AtomTypeDef& type, AtomId id);
+  /// OverlayFor's read when the newest version began after the snapshot:
+  /// the version valid at the snapshot, else the whole history.
+  Status ReadAsOfSnapshot(const AtomTypeDef& type, AtomId id,
+                          AtomOverlay* overlay) const;
   Result<LinkOverlay*> LinkOverlayFor(const LinkTypeDef& link, AtomId from,
                                       AtomId to);
 

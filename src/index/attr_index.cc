@@ -30,7 +30,8 @@ Result<BTree*> AttrIndexManager::TreeOf(IndexId id) const {
   if (it != trees_.end()) return it->second.get();
   TCOB_ASSIGN_OR_RETURN(
       std::unique_ptr<BTree> tree,
-      BTree::Open(pool_, "attridx_" + std::to_string(id)));
+      BTree::Open(pool_, "attridx_" + std::to_string(id),
+                  index_counters_));
   BTree* raw = tree.get();
   trees_[id] = std::move(tree);
   return raw;

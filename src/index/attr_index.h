@@ -34,8 +34,10 @@ struct ValueRange {
 /// entries are keyed deterministically and Put overwrites.
 class AttrIndexManager {
  public:
-  AttrIndexManager(BufferPool* pool, const Catalog* catalog)
-      : pool_(pool), catalog_(catalog) {}
+  /// `index_counters` (may be null) counts the work of the trees.
+  AttrIndexManager(BufferPool* pool, const Catalog* catalog,
+                   IndexCounters* index_counters = nullptr)
+      : pool_(pool), catalog_(catalog), index_counters_(index_counters) {}
 
   /// Index maintenance hooks, called once the store has applied the
   /// operation (`old_version` is the live version it closed, captured
@@ -92,6 +94,7 @@ class AttrIndexManager {
 
   BufferPool* pool_;
   const Catalog* catalog_;
+  IndexCounters* index_counters_;
   // Guards lazy tree opening; the trees themselves carry their own latch.
   mutable std::mutex trees_mu_;
   mutable std::map<IndexId, std::unique_ptr<BTree>> trees_;

@@ -13,18 +13,195 @@ namespace {
 constexpr uint32_t kNodeHeader = 12;
 constexpr uint32_t kNodeCapacity = kPageDataSize - kNodeHeader;
 constexpr uint32_t kBTreeMagic = 0x54424954;  // "TBIT"
+// No tree of 4 KiB pages grows this deep; a descent that does follows a
+// cycle of corrupt child pointers.
+constexpr uint32_t kMaxHeight = 64;
 
 // Meta page field offsets.
 constexpr uint32_t kMetaMagicOff = 8;
 constexpr uint32_t kMetaRootOff = 12;
 constexpr uint32_t kMetaCountOff = 16;
 
+/// Decodes an unsigned LEB128 varint from [*p, end) and advances *p, with
+/// GetVarint64's rules; false when it is truncated.
+inline bool ReadVarint(const char** p, const char* end, uint64_t* v) {
+  uint64_t result = 0;
+  for (int shift = 0; shift <= 63 && *p < end; shift += 7) {
+    const uint8_t byte = static_cast<uint8_t>(*(*p)++);
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *v = result;
+      return true;
+    }
+  }
+  return false;
+}
+
+Status NodeCorruption(PageNo page, const char* what) {
+  return Status::Corruption("btree node " + std::to_string(page) + ": " +
+                            what);
+}
+
+Status TooDeep() {
+  return Status::Corruption("btree deeper than 64 levels (cycle?)");
+}
+
 }  // namespace
 
+/// Bounds-checked, allocation-free reader over the bytes of one node page
+/// (layout: [type][is_leaf][0:2][next_leaf:4][payload_len:4], then the
+/// payload: varint n_keys; a leaf holds n x (length-prefixed key, varint
+/// value), an internal node (n + 1) x fixed32 child then n length-prefixed
+/// keys). Parse() checks the header against the data area, and Cursor
+/// checks every entry against the payload end, so a malformed node is
+/// Corruption and no read leaves the payload. Key slices point into the
+/// page: a view is valid only while its page stays pinned.
+class BTree::NodeView {
+ public:
+  static Result<NodeView> Parse(const Page& page) {
+    const char* data = page.data;
+    if (static_cast<PageType>(static_cast<uint8_t>(data[0])) !=
+        PageType::kIndex) {
+      return Status::Corruption("page " + std::to_string(page.page_no) +
+                                " is not a btree node");
+    }
+    NodeView v;
+    v.page_no_ = page.page_no;
+    v.is_leaf_ = data[1] != 0;
+    v.next_leaf_ = DecodeFixed32(data + 4);
+    const uint32_t payload_len = DecodeFixed32(data + 8);
+    if (payload_len > kNodeCapacity) {
+      return NodeCorruption(page.page_no, "payload overruns the page");
+    }
+    const char* p = data + kNodeHeader;
+    v.end_ = p + payload_len;
+    uint64_t n_keys;
+    if (!ReadVarint(&p, v.end_, &n_keys)) {
+      return NodeCorruption(page.page_no, "truncated key count");
+    }
+    // A leaf entry takes at least 2 bytes (key length, value); an
+    // internal node needs 4 bytes per child plus 1 per key length.
+    const uint64_t room = static_cast<uint64_t>(v.end_ - p);
+    const bool fits = v.is_leaf_ ? n_keys <= room / 2
+                                 : room >= 4 && n_keys <= (room - 4) / 5;
+    if (!fits) {
+      return NodeCorruption(page.page_no, "key count overruns the payload");
+    }
+    v.num_keys_ = static_cast<uint32_t>(n_keys);
+    if (!v.is_leaf_) {
+      v.children_ = p;
+      p += 4 * (n_keys + 1);
+    }
+    v.entries_ = p;
+    return v;
+  }
+
+  bool is_leaf() const { return is_leaf_; }
+  PageNo next_leaf() const { return next_leaf_; }
+  uint32_t num_keys() const { return num_keys_; }
+  /// Internal nodes only: child i, 0 <= i <= num_keys().
+  PageNo child(uint32_t i) const { return DecodeFixed32(children_ + 4 * i); }
+
+  /// Reads the entries in key order. Next() returns false after the last
+  /// entry or at a malformed one; status() then tells the two apart.
+  class Cursor {
+   public:
+    explicit Cursor(const NodeView& node)
+        : node_(node), pos_(node.entries_), left_(node.num_keys_) {}
+
+    bool Next() {
+      if (left_ == 0) return false;
+      uint64_t len;
+      if (!ReadVarint(&pos_, node_.end_, &len) ||
+          len > static_cast<uint64_t>(node_.end_ - pos_)) {
+        return Fail();
+      }
+      key_ = Slice(pos_, static_cast<size_t>(len));
+      pos_ += len;
+      if (node_.is_leaf_ && !ReadVarint(&pos_, node_.end_, &value_)) {
+        return Fail();
+      }
+      --left_;
+      return true;
+    }
+    const Slice& key() const { return key_; }
+    /// Leaves only: the current entry's value.
+    uint64_t value() const { return value_; }
+    Status status() const {
+      return corrupt_
+                 ? NodeCorruption(node_.page_no_, "entry overruns the payload")
+                 : Status::OK();
+    }
+
+   private:
+    bool Fail() {
+      corrupt_ = true;
+      left_ = 0;
+      return false;
+    }
+
+    const NodeView& node_;
+    const char* pos_;
+    uint32_t left_;
+    bool corrupt_ = false;
+    Slice key_;
+    uint64_t value_ = 0;
+  };
+
+  /// Internal nodes only: the child whose subtree may hold `key` (index =
+  /// the number of separators <= key).
+  Result<uint32_t> ChildIndex(const Slice& key) const {
+    uint32_t idx = 0;
+    Cursor c(*this);
+    while (c.Next() && c.key().compare(key) <= 0) ++idx;
+    TCOB_RETURN_NOT_OK(c.status());
+    return idx;
+  }
+
+  /// The mutable image that Put, Delete and VerifyStructure work on.
+  Result<Node> Decode() const {
+    Node node;
+    node.is_leaf = is_leaf_;
+    node.next_leaf = next_leaf_;
+    node.keys.reserve(num_keys_);
+    if (is_leaf_) {
+      node.values.reserve(num_keys_);
+    } else {
+      node.children.reserve(num_keys_ + 1);
+      for (uint32_t i = 0; i <= num_keys_; ++i) {
+        node.children.push_back(child(i));
+      }
+    }
+    Cursor c(*this);
+    while (c.Next()) {
+      node.keys.push_back(c.key().ToString());
+      if (is_leaf_) node.values.push_back(c.value());
+    }
+    TCOB_RETURN_NOT_OK(c.status());
+    return node;
+  }
+
+ private:
+  PageNo page_no_ = kInvalidPageNo;
+  bool is_leaf_ = true;
+  PageNo next_leaf_ = kInvalidPageNo;
+  uint32_t num_keys_ = 0;
+  const char* children_ = nullptr;  // internal: (num_keys + 1) x fixed32
+  const char* entries_ = nullptr;   // the first key entry
+  const char* end_ = nullptr;       // end of the payload
+};
+
+/// A node page held pinned, with the reader over its bytes.
+struct BTree::PinnedNode {
+  PageGuard guard;
+  NodeView view;
+};
+
 Result<std::unique_ptr<BTree>> BTree::Open(BufferPool* pool,
-                                           const std::string& name) {
+                                           const std::string& name,
+                                           IndexCounters* counters) {
   TCOB_ASSIGN_OR_RETURN(FileId file, pool->disk()->OpenFile(name));
-  std::unique_ptr<BTree> tree(new BTree(pool, file));
+  std::unique_ptr<BTree> tree(new BTree(pool, file, counters));
   TCOB_RETURN_NOT_OK(tree->LoadOrFormat(name));
   return tree;
 }
@@ -72,46 +249,17 @@ Result<PageNo> BTree::AllocNode() {
   return p->page_no;
 }
 
-Result<BTree::Node> BTree::ReadNode(PageNo page) const {
+Result<BTree::PinnedNode> BTree::Visit(PageNo page) const {
   TCOB_ASSIGN_OR_RETURN(Page * p, pool_->FetchPage(file_, page));
   PageGuard guard(pool_, p);
-  if (static_cast<PageType>(static_cast<uint8_t>(p->data[0])) !=
-      PageType::kIndex) {
-    return Status::Corruption("page " + std::to_string(page) +
-                              " is not a btree node");
-  }
-  Node node;
-  node.is_leaf = p->data[1] != 0;
-  node.next_leaf = DecodeFixed32(p->data + 4);
-  uint32_t payload_len = DecodeFixed32(p->data + 8);
-  Slice in(p->data + kNodeHeader, payload_len);
-  uint32_t n_keys;
-  TCOB_RETURN_NOT_OK(GetVarint32(&in, &n_keys));
-  node.keys.reserve(n_keys);
-  if (node.is_leaf) {
-    node.values.reserve(n_keys);
-    for (uint32_t i = 0; i < n_keys; ++i) {
-      Slice key;
-      uint64_t value;
-      TCOB_RETURN_NOT_OK(GetLengthPrefixed(&in, &key));
-      TCOB_RETURN_NOT_OK(GetVarint64(&in, &value));
-      node.keys.push_back(key.ToString());
-      node.values.push_back(value);
-    }
-  } else {
-    node.children.reserve(n_keys + 1);
-    for (uint32_t i = 0; i < n_keys + 1; ++i) {
-      uint32_t child;
-      TCOB_RETURN_NOT_OK(GetFixed32(&in, &child));
-      node.children.push_back(child);
-    }
-    for (uint32_t i = 0; i < n_keys; ++i) {
-      Slice key;
-      TCOB_RETURN_NOT_OK(GetLengthPrefixed(&in, &key));
-      node.keys.push_back(key.ToString());
-    }
-  }
-  return node;
+  if (counters_ != nullptr) counters_->node_visits.Increment();
+  TCOB_ASSIGN_OR_RETURN(NodeView view, NodeView::Parse(*p));
+  return PinnedNode{std::move(guard), view};
+}
+
+Result<BTree::Node> BTree::ReadNode(PageNo page) const {
+  TCOB_ASSIGN_OR_RETURN(PinnedNode node, Visit(page));
+  return node.view.Decode();
 }
 
 Status BTree::WriteNode(PageNo page, const Node& node) {
@@ -270,31 +418,36 @@ Status BTree::Put(const Slice& key, uint64_t value) {
   return SaveMeta();
 }
 
-Result<PageNo> BTree::FindLeaf(const Slice& key) const {
+Result<BTree::PinnedNode> BTree::FindLeaf(const Slice& key) const {
   PageNo page = root_;
-  for (;;) {
-    TCOB_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.is_leaf) return page;
-    page = node.children[ChildIndex(node.keys, key)];
+  for (uint32_t depth = 0; depth < kMaxHeight; ++depth) {
+    TCOB_ASSIGN_OR_RETURN(PinnedNode node, Visit(page));
+    if (node.view.is_leaf()) return node;
+    TCOB_ASSIGN_OR_RETURN(uint32_t idx, node.view.ChildIndex(key));
+    page = node.view.child(idx);
   }
+  return TooDeep();
 }
 
 Result<uint64_t> BTree::Get(const Slice& key) const {
   std::shared_lock<std::shared_mutex> lock(latch_);
-  TCOB_ASSIGN_OR_RETURN(PageNo leaf_page, FindLeaf(key));
-  TCOB_ASSIGN_OR_RETURN(Node leaf, ReadNode(leaf_page));
-  int pos = LowerBound(leaf, key);
-  if (pos < static_cast<int>(leaf.keys.size()) &&
-      Slice(leaf.keys[pos]) == key) {
-    return leaf.values[pos];
+  CountProbe();
+  TCOB_ASSIGN_OR_RETURN(PinnedNode leaf, FindLeaf(key));
+  NodeView::Cursor c(leaf.view);
+  while (c.Next()) {
+    const int cmp = c.key().compare(key);
+    if (cmp == 0) return c.value();
+    if (cmp > 0) break;
   }
+  TCOB_RETURN_NOT_OK(c.status());
   return Status::NotFound("btree key absent");
 }
 
 Status BTree::Delete(const Slice& key) {
   std::unique_lock<std::shared_mutex> lock(latch_);
-  TCOB_ASSIGN_OR_RETURN(PageNo leaf_page, FindLeaf(key));
-  TCOB_ASSIGN_OR_RETURN(Node leaf, ReadNode(leaf_page));
+  TCOB_ASSIGN_OR_RETURN(PinnedNode pinned, FindLeaf(key));
+  const PageNo leaf_page = pinned.guard->page_no;
+  TCOB_ASSIGN_OR_RETURN(Node leaf, pinned.view.Decode());
   int pos = LowerBound(leaf, key);
   if (pos >= static_cast<int>(leaf.keys.size()) ||
       Slice(leaf.keys[pos]) != key) {
@@ -311,25 +464,26 @@ Status BTree::Scan(
     const Slice& lower, const Slice& upper,
     const std::function<Result<bool>(const Slice&, uint64_t)>& fn) const {
   std::shared_lock<std::shared_mutex> lock(latch_);
+  CountProbe();
   return ScanLocked(lower, upper, fn);
 }
 
 Status BTree::ScanLocked(
     const Slice& lower, const Slice& upper,
     const std::function<Result<bool>(const Slice&, uint64_t)>& fn) const {
-  TCOB_ASSIGN_OR_RETURN(PageNo page, FindLeaf(lower));
-  while (page != kInvalidPageNo) {
-    TCOB_ASSIGN_OR_RETURN(Node leaf, ReadNode(page));
-    int pos = LowerBound(leaf, lower);
-    for (int i = pos; i < static_cast<int>(leaf.keys.size()); ++i) {
-      Slice key(leaf.keys[i]);
-      if (!upper.empty() && key.compare(upper) >= 0) return Status::OK();
-      TCOB_ASSIGN_OR_RETURN(bool keep_going, fn(key, leaf.values[i]));
+  TCOB_ASSIGN_OR_RETURN(PinnedNode leaf, FindLeaf(lower));
+  for (;;) {
+    NodeView::Cursor c(leaf.view);
+    while (c.Next()) {
+      if (c.key().compare(lower) < 0) continue;
+      if (!upper.empty() && c.key().compare(upper) >= 0) return Status::OK();
+      TCOB_ASSIGN_OR_RETURN(bool keep_going, fn(c.key(), c.value()));
       if (!keep_going) return Status::OK();
     }
-    page = leaf.next_leaf;
+    TCOB_RETURN_NOT_OK(c.status());
+    if (leaf.view.next_leaf() == kInvalidPageNo) return Status::OK();
+    TCOB_ASSIGN_OR_RETURN(leaf, Visit(leaf.view.next_leaf()));
   }
-  return Status::OK();
 }
 
 Status BTree::ScanPrefix(
@@ -345,64 +499,67 @@ Status BTree::ScanPrefix(
     upper.back() = static_cast<char>(upper.back() + 1);
   }
   std::shared_lock<std::shared_mutex> lock(latch_);
+  CountProbe();
   return ScanLocked(prefix, Slice(upper), fn);
 }
 
 Result<std::pair<std::string, uint64_t>> BTree::Floor(
     const Slice& target) const {
   std::shared_lock<std::shared_mutex> lock(latch_);
-  PageNo page = root_;
-  PageNo fallback_subtree = kInvalidPageNo;
-  for (;;) {
-    TCOB_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.is_leaf) {
-      // Greatest key <= target within this leaf.
-      int pos = LowerBound(node, target);
-      if (pos < static_cast<int>(node.keys.size()) &&
-          Slice(node.keys[pos]) == target) {
-        return std::make_pair(node.keys[pos], node.values[pos]);
-      }
-      if (pos > 0) {
-        return std::make_pair(node.keys[pos - 1], node.values[pos - 1]);
-      }
-      break;  // everything in this leaf > target; use the fallback subtree
+  CountProbe();
+  std::pair<std::string, uint64_t> floor;
+  TCOB_ASSIGN_OR_RETURN(bool found, FloorIn(root_, target, 0, &floor));
+  if (!found) return Status::NotFound("no entry <= target");
+  return floor;
+}
+
+Result<bool> BTree::FloorIn(PageNo page, const Slice& target, uint32_t depth,
+                            std::pair<std::string, uint64_t>* out) const {
+  if (depth >= kMaxHeight) return TooDeep();
+  TCOB_ASSIGN_OR_RETURN(PinnedNode node, Visit(page));
+  if (node.view.is_leaf()) {
+    bool found = false;
+    Slice best;
+    uint64_t best_value = 0;
+    NodeView::Cursor c(node.view);
+    while (c.Next() && c.key().compare(target) <= 0) {
+      found = true;
+      best = c.key();
+      best_value = c.value();
     }
-    int idx = ChildIndex(node.keys, target);
-    if (idx > 0) fallback_subtree = node.children[idx - 1];
-    page = node.children[idx];
-  }
-  if (fallback_subtree == kInvalidPageNo) {
-    return Status::NotFound("no entry <= target");
-  }
-  // Rightmost entry of the fallback subtree.
-  page = fallback_subtree;
-  for (;;) {
-    TCOB_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.is_leaf) {
-      if (node.keys.empty()) return Status::NotFound("empty fallback leaf");
-      return std::make_pair(node.keys.back(), node.values.back());
+    TCOB_RETURN_NOT_OK(c.status());
+    if (found) {
+      out->first.assign(best.data(), best.size());
+      out->second = best_value;
     }
-    page = node.children.back();
+    return found;
   }
+  // Lazy deletes may have emptied the leaves under the child that covers
+  // `target`; every child to its left holds only smaller keys, so the
+  // floor is the rightmost entry of the nearest one that is not empty.
+  TCOB_ASSIGN_OR_RETURN(uint32_t idx, node.view.ChildIndex(target));
+  for (uint32_t i = idx + 1; i-- > 0;) {
+    TCOB_ASSIGN_OR_RETURN(
+        bool found, FloorIn(node.view.child(i), target, depth + 1, out));
+    if (found) return true;
+  }
+  return false;
 }
 
 Result<uint32_t> BTree::Height() const {
   std::shared_lock<std::shared_mutex> lock(latch_);
-  uint32_t height = 1;
   PageNo page = root_;
-  for (;;) {
-    TCOB_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.is_leaf) return height;
-    page = node.children[0];
-    ++height;
+  for (uint32_t height = 1; height <= kMaxHeight; ++height) {
+    TCOB_ASSIGN_OR_RETURN(PinnedNode node, Visit(page));
+    if (node.view.is_leaf()) return height;
+    page = node.view.child(0);
   }
+  return TooDeep();
 }
 
 Status BTree::VerifyRec(PageNo page, uint32_t depth, const std::string* lower,
                         const std::string* upper, VerifyState* vs) const {
-  if (depth > 64) {
-    return Status::Corruption("btree deeper than 64 levels (cycle?)");
-  }
+  if (depth > kMaxHeight) return TooDeep();
   TCOB_ASSIGN_OR_RETURN(Node node, ReadNode(page));
   std::string where = "btree node " + std::to_string(page);
   for (size_t i = 0; i < node.keys.size(); ++i) {

@@ -9,12 +9,38 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/slice.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 
 namespace tcob {
+
+/// B+-tree read work, as monotonic counters (like BufferPoolStats):
+/// `probes` counts Get / Floor / Scan / ScanPrefix calls, `node_visits`
+/// the node pages any tree operation searched or decoded.
+struct IndexStats {
+  uint64_t probes = 0;
+  uint64_t node_visits = 0;
+
+  /// Delta between two snapshots of the same counters (EXPLAIN ANALYZE
+  /// attributes per-query index work this way).
+  IndexStats& operator-=(const IndexStats& o) {
+    probes -= o.probes;
+    node_visits -= o.node_visits;
+    return *this;
+  }
+};
+
+/// The live counters behind IndexStats, shared by every tree of one
+/// database (relaxed atomics: concurrent readers count exactly).
+struct IndexCounters {
+  Counter probes;
+  Counter node_visits;
+
+  IndexStats stats() const { return {probes.value(), node_visits.value()}; }
+};
 
 /// Disk-resident B+-tree mapping variable-length byte keys (memcmp order)
 /// to 64-bit payloads.
@@ -23,20 +49,27 @@ namespace tcob {
 /// directories, and secondary attribute indexes (via the order-preserving
 /// encodings in common/coding.h).
 ///
-/// Node pages are (de)serialized whole: each page holds one sorted node.
-/// Splits propagate upward; deletion is lazy (no rebalancing — vacated
-/// space is reused by later inserts, matching the workload pattern of the
-/// modeled system where histories only grow).
+/// Each page holds one sorted node. Reads (Get, Floor, Scan, ScanPrefix,
+/// Height) search the pinned page bytes in place through a bounds-checked
+/// node reader and copy no key; a malformed node is Corruption. Writes
+/// decode the node, mutate the copy and encode it back. Splits propagate
+/// upward; deletion is lazy (no rebalancing — vacated space is reused by
+/// later inserts, matching the workload pattern of the modeled system
+/// where histories only grow), so a leaf may be empty.
 ///
-/// Concurrency: a tree-wide reader/writer latch. Reads (Get, Scan,
-/// Floor, ...) may run concurrently with each other; Put/Delete take the
-/// latch exclusively. Scan callbacks run under the shared latch, so they
-/// must not call back into the same tree.
+/// Concurrency: a tree-wide reader/writer latch. Reads may run
+/// concurrently with each other; Put/Delete take the latch exclusively.
+/// Scan callbacks run with the current leaf pinned and the shared latch
+/// held, so they must not call back into the same tree, and the key
+/// Slice they receive points into the page: it is valid only during the
+/// call.
 class BTree {
  public:
-  /// Opens (formatting if empty) the tree stored in file `name`.
-  static Result<std::unique_ptr<BTree>> Open(BufferPool* pool,
-                                             const std::string& name);
+  /// Opens (formatting if empty) the tree stored in file `name`. When
+  /// `counters` is non-null the tree counts its work there.
+  static Result<std::unique_ptr<BTree>> Open(
+      BufferPool* pool, const std::string& name,
+      IndexCounters* counters = nullptr);
 
   /// Inserts or overwrites `key`.
   Status Put(const Slice& key, uint64_t value);
@@ -80,7 +113,11 @@ class BTree {
   FileId file_id() const { return file_; }
 
  private:
-  BTree(BufferPool* pool, FileId file) : pool_(pool), file_(file) {}
+  BTree(BufferPool* pool, FileId file, IndexCounters* counters)
+      : pool_(pool), file_(file), counters_(counters) {}
+
+  class NodeView;
+  struct PinnedNode;
 
   // In-memory image of one node page.
   struct Node {
@@ -96,6 +133,8 @@ class BTree {
 
   Status LoadOrFormat(const std::string& name);
   Status SaveMeta();
+  /// Pins node page `page` and parses its header (one node visit).
+  Result<PinnedNode> Visit(PageNo page) const;
   Result<Node> ReadNode(PageNo page) const;
   Status WriteNode(PageNo page, const Node& node);
   Result<PageNo> AllocNode();
@@ -112,8 +151,17 @@ class BTree {
   Result<SplitResult> InsertRec(PageNo page, const Slice& key, uint64_t value,
                                 bool* replaced);
 
-  /// Descends to the leaf that may contain `key`.
-  Result<PageNo> FindLeaf(const Slice& key) const;
+  /// Descends to the leaf that may contain `key` and returns it pinned.
+  Result<PinnedNode> FindLeaf(const Slice& key) const;
+
+  /// Greatest entry <= target in the subtree at `page`, copied to *out;
+  /// false when the subtree holds none.
+  Result<bool> FloorIn(PageNo page, const Slice& target, uint32_t depth,
+                       std::pair<std::string, uint64_t>* out) const;
+
+  void CountProbe() const {
+    if (counters_ != nullptr) counters_->probes.Increment();
+  }
 
   /// Scan body, caller holds the latch (shared or exclusive).
   Status ScanLocked(
@@ -134,6 +182,7 @@ class BTree {
 
   BufferPool* pool_;
   FileId file_;
+  IndexCounters* counters_;  // may be null: nothing is counted
   // Tree-wide reader/writer latch: shared for lookups and scans,
   // exclusive for Put/Delete (writes stay single-threaded upstream, the
   // exclusive mode just keeps concurrent readers out mid-split).

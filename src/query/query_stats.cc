@@ -76,6 +76,9 @@ ResultSet QueryStats::ToResultSet() const {
   num("version_cache", "link_instances_pinned", cache.link_instances_pinned);
   rate("version_cache", "hit_rate", cache.HitRate());
 
+  num("index", "probes", index.probes);
+  num("index", "node_visits", index.node_visits);
+
   num("buffer_pool", "fetches", pool.fetches);
   num("buffer_pool", "hits", pool.hits);
   num("buffer_pool", "misses", pool.misses);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "index/btree.h"
 #include "mad/version_cache.h"
 #include "query/result_set.h"
 #include "storage/buffer_pool.h"
@@ -73,6 +74,8 @@ struct QueryStats {
   VersionCacheStats cache;
   /// Page traffic this query caused (counter delta).
   BufferPoolStats pool;
+  /// B+-tree probes and node visits this query caused (counter delta).
+  IndexStats index;
   /// Wall time each fan-out worker spent materializing (empty = serial).
   std::vector<double> worker_us;
 

@@ -18,7 +18,8 @@ Result<IntegratedStore::TypeState*> IntegratedStore::StateOf(
       HeapFile::Open(pool_, prefix_ + "_heap_" + std::to_string(type)));
   TCOB_ASSIGN_OR_RETURN(
       state.index,
-      BTree::Open(pool_, prefix_ + "_idx_" + std::to_string(type)));
+      BTree::Open(pool_, prefix_ + "_idx_" + std::to_string(type),
+                  index_counters_));
   auto [pos, inserted] = types_.emplace(type, std::move(state));
   (void)inserted;
   return &pos->second;
@@ -94,6 +95,14 @@ Status IntegratedStore::StoreCluster(const AtomTypeDef& type, AtomId id,
     TCOB_RETURN_NOT_OK(state->index->Put(key, new_rid.Pack()));
   }
   return Status::OK();
+}
+
+Result<AtomVersion> IntegratedStore::GetNewest(const AtomTypeDef& type,
+                                               AtomId id) const {
+  TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> versions,
+                        LoadCluster(type, id, nullptr));
+  if (versions.empty()) return Status::NotFound("atom " + std::to_string(id));
+  return std::move(versions.back());
 }
 
 Status IntegratedStore::Insert(const AtomTypeDef& type, AtomId id,

@@ -26,8 +26,13 @@ namespace tcob {
 ///    length too.
 class IntegratedStore : public TemporalAtomStore {
  public:
-  IntegratedStore(BufferPool* pool, std::string file_prefix)
-      : pool_(pool), prefix_(std::move(file_prefix)) {}
+  /// `index_counters` (may be null) counts the work of the store's
+  /// B+-trees.
+  IntegratedStore(BufferPool* pool, std::string file_prefix,
+         IndexCounters* index_counters = nullptr)
+      : pool_(pool),
+        prefix_(std::move(file_prefix)),
+        index_counters_(index_counters) {}
 
   StorageStrategy strategy() const override {
     return StorageStrategy::kIntegrated;
@@ -38,6 +43,8 @@ class IntegratedStore : public TemporalAtomStore {
   Status Update(const AtomTypeDef& type, AtomId id, std::vector<Value> attrs,
                 Timestamp from) override;
   Status Delete(const AtomTypeDef& type, AtomId id, Timestamp from) override;
+  Result<AtomVersion> GetNewest(const AtomTypeDef& type,
+                                AtomId id) const override;
 
   Result<StoreSpaceStats> SpaceStats() const override;
   Result<uint64_t> RemoveClosedPrefix(
@@ -85,6 +92,7 @@ class IntegratedStore : public TemporalAtomStore {
 
   BufferPool* pool_;
   std::string prefix_;
+  IndexCounters* index_counters_;
   // Guards lazy TypeState creation (map nodes are stable once created).
   mutable std::mutex types_mu_;
   mutable std::map<TypeId, TypeState> types_;

@@ -26,11 +26,13 @@ Result<SeparatedStore::TypeState*> SeparatedStore::StateOf(
                         HeapFile::Open(pool_, prefix_ + "_cur_" + t));
   TCOB_ASSIGN_OR_RETURN(state.history,
                         HeapFile::Open(pool_, prefix_ + "_hist_" + t));
-  TCOB_ASSIGN_OR_RETURN(state.current_index,
-                        BTree::Open(pool_, prefix_ + "_cidx_" + t));
+  TCOB_ASSIGN_OR_RETURN(
+      state.current_index,
+      BTree::Open(pool_, prefix_ + "_cidx_" + t, index_counters_));
   if (options_.separated_version_index) {
-    TCOB_ASSIGN_OR_RETURN(state.version_index,
-                          BTree::Open(pool_, prefix_ + "_vidx_" + t));
+    TCOB_ASSIGN_OR_RETURN(
+        state.version_index,
+        BTree::Open(pool_, prefix_ + "_vidx_" + t, index_counters_));
   }
   auto [pos, inserted] = types_.emplace(type, std::move(state));
   (void)inserted;
@@ -227,6 +229,22 @@ Status SeparatedStore::Delete(const AtomTypeDef& type, AtomId id,
   rec.has_live = false;
   rec.live = AtomVersion{};
   return StoreCurrent(type, id, rid, rec);
+}
+
+Result<AtomVersion> SeparatedStore::GetNewest(const AtomTypeDef& type,
+                                              AtomId id) const {
+  TCOB_ASSIGN_OR_RETURN(CurrentRecord rec, LoadCurrent(type, id, nullptr));
+  if (rec.has_live) return std::move(rec.live);
+  // A dead atom's newest version heads its chain; the anchor rule keeps
+  // it hot when older ones migrate.
+  if (!rec.chain_head.valid()) {
+    return Status::NotFound("atom " + std::to_string(id));
+  }
+  TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
+  TCOB_ASSIGN_OR_RETURN(std::string raw, state->history->Get(rec.chain_head));
+  TCOB_ASSIGN_OR_RETURN(auto decoded,
+                        DecodeHistory(type.AttrTypes(), Slice(raw)));
+  return std::move(decoded.first);
 }
 
 Result<std::optional<AtomVersion>> SeparatedStore::FindPast(

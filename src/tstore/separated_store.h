@@ -29,9 +29,14 @@ namespace tcob {
 ///  * full-history reads pay one fetch per closed version.
 class SeparatedStore : public TemporalAtomStore {
  public:
+  /// `index_counters` (may be null) counts the work of the store's
+  /// B+-trees.
   SeparatedStore(BufferPool* pool, std::string file_prefix,
-                 StoreOptions options)
-      : pool_(pool), prefix_(std::move(file_prefix)), options_(options) {}
+                 StoreOptions options, IndexCounters* index_counters = nullptr)
+      : pool_(pool),
+        prefix_(std::move(file_prefix)),
+        options_(options),
+        index_counters_(index_counters) {}
 
   StorageStrategy strategy() const override {
     return StorageStrategy::kSeparated;
@@ -42,6 +47,8 @@ class SeparatedStore : public TemporalAtomStore {
   Status Update(const AtomTypeDef& type, AtomId id, std::vector<Value> attrs,
                 Timestamp from) override;
   Status Delete(const AtomTypeDef& type, AtomId id, Timestamp from) override;
+  Result<AtomVersion> GetNewest(const AtomTypeDef& type,
+                                AtomId id) const override;
 
   Result<StoreSpaceStats> SpaceStats() const override;
   Result<uint64_t> RemoveClosedPrefix(
@@ -136,6 +143,7 @@ class SeparatedStore : public TemporalAtomStore {
   BufferPool* pool_;
   std::string prefix_;
   StoreOptions options_;
+  IndexCounters* index_counters_;
   // Guards lazy TypeState creation; map nodes are stable once created, so
   // concurrent readers only contend on first touch of a type.
   mutable std::mutex types_mu_;

@@ -23,7 +23,8 @@ Result<SnapshotStore::TypeState*> SnapshotStore::StateOf(TypeId type) const {
       HeapFile::Open(pool_, prefix_ + "_heap_" + std::to_string(type)));
   TCOB_ASSIGN_OR_RETURN(
       state.index,
-      BTree::Open(pool_, prefix_ + "_vidx_" + std::to_string(type)));
+      BTree::Open(pool_, prefix_ + "_vidx_" + std::to_string(type),
+                  index_counters_));
   auto [pos, inserted] = types_.emplace(type, std::move(state));
   (void)inserted;
   return &pos->second;
@@ -165,6 +166,16 @@ Status SnapshotStore::Delete(const AtomTypeDef& type, AtomId id,
         state->index->Put(VersionKey(id, closed.version_no), new_rid.Pack()));
   }
   return Status::OK();
+}
+
+Result<AtomVersion> SnapshotStore::GetNewest(const AtomTypeDef& type,
+                                             AtomId id) const {
+  TCOB_ASSIGN_OR_RETURN(std::optional<AtomVersion> newest,
+                        NewestVersion(type, id, nullptr));
+  if (!newest.has_value()) {
+    return Status::NotFound("atom " + std::to_string(id));
+  }
+  return std::move(*newest);
 }
 
 Result<std::optional<AtomVersion>> SnapshotStore::DoGetAsOf(

@@ -25,8 +25,13 @@ namespace tcob {
 ///  * full-history reads pay one record fetch per version.
 class SnapshotStore : public TemporalAtomStore {
  public:
-  SnapshotStore(BufferPool* pool, std::string file_prefix)
-      : pool_(pool), prefix_(std::move(file_prefix)) {}
+  /// `index_counters` (may be null) counts the work of the store's
+  /// B+-trees.
+  SnapshotStore(BufferPool* pool, std::string file_prefix,
+         IndexCounters* index_counters = nullptr)
+      : pool_(pool),
+        prefix_(std::move(file_prefix)),
+        index_counters_(index_counters) {}
 
   StorageStrategy strategy() const override {
     return StorageStrategy::kSnapshot;
@@ -37,6 +42,8 @@ class SnapshotStore : public TemporalAtomStore {
   Status Update(const AtomTypeDef& type, AtomId id, std::vector<Value> attrs,
                 Timestamp from) override;
   Status Delete(const AtomTypeDef& type, AtomId id, Timestamp from) override;
+  Result<AtomVersion> GetNewest(const AtomTypeDef& type,
+                                AtomId id) const override;
 
   Result<StoreSpaceStats> SpaceStats() const override;
   Result<uint64_t> RemoveClosedPrefix(
@@ -83,6 +90,7 @@ class SnapshotStore : public TemporalAtomStore {
 
   BufferPool* pool_;
   std::string prefix_;
+  IndexCounters* index_counters_;
   // Guards lazy TypeState creation (map nodes are stable once created).
   mutable std::mutex types_mu_;
   mutable std::map<TypeId, TypeState> types_;

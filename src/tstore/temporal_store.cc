@@ -81,43 +81,63 @@ Status TemporalAtomStore::ColdCollectAll(
 }
 
 Status TemporalAtomStore::VerifyIntegrity(const AtomTypeDef& type) const {
-  std::map<AtomId, std::vector<AtomVersion>> by_atom;
-  TCOB_RETURN_NOT_OK(DoScanVersions(
-      type, Interval::All(), [&](const AtomVersion& v) -> Result<bool> {
-        by_atom[v.id].push_back(v);
-        return true;
-      }));
+  auto corrupt = [&](AtomId id, const std::string& what) {
+    return Status::Corruption("atom " + std::to_string(id) + " of type " +
+                              type.name + ": " + what);
+  };
+  // Cold versions per atom, for the anchor rule: every atom with cold
+  // history must keep at least one hot (or live) version.
+  std::map<AtomId, size_t> cold_counts;
   if (cold_ != nullptr) {
-    TCOB_RETURN_NOT_OK(cold_->VerifyIntegrity(type));
-    // DoScanVersions above already merged the tiers, so cross-tier
-    // overlap — e.g. a version written to a segment but still in the
-    // hot store — appears twice and TimelineOf below catches it. What
-    // remains to check is the anchor rule: every atom with cold history
-    // must keep at least one hot (or live) version.
     std::map<AtomId, std::vector<AtomVersion>> cold_atoms;
     TCOB_RETURN_NOT_OK(cold_->CollectAll(type, Interval::All(), &cold_atoms));
-    for (auto& [id, versions] : cold_atoms) {
-      auto it = by_atom.find(id);
-      if (it == by_atom.end() || it->second.size() <= versions.size()) {
-        return Status::Corruption("atom " + std::to_string(id) + " of type " +
-                                  type.name +
-                                  ": cold versions without a hot anchor");
-      }
+    for (const auto& [id, versions] : cold_atoms) {
+      cold_counts[id] = versions.size();
     }
   }
-  for (auto& [id, versions] : by_atom) {
+  // DoScanVersions merges the tiers and yields each atom's versions
+  // together, in ascending atom id, so one atom's history is checked
+  // (and held) at a time. Cross-tier overlap — e.g. a version written to
+  // a segment but still in the hot store — appears twice and TimelineOf
+  // catches it.
+  std::vector<AtomVersion> versions;
+  auto check_atom = [&]() -> Status {
+    if (versions.empty()) return Status::OK();
+    const AtomId id = versions.front().id;
+    auto cold = cold_counts.find(id);
+    if (cold != cold_counts.end()) {
+      if (versions.size() <= cold->second) {
+        return corrupt(id, "cold versions without a hot anchor");
+      }
+      cold_counts.erase(cold);
+    }
     for (const AtomVersion& v : versions) {
       if (v.valid.empty()) {
-        return Status::Corruption(
-            "atom " + std::to_string(id) + " of type " + type.name +
-            ": empty version interval " + v.valid.ToString());
+        return corrupt(id, "empty version interval " + v.valid.ToString());
       }
     }
     Result<VersionTimeline> timeline = TimelineOf(versions);
-    if (!timeline.ok()) {
-      return Status::Corruption("atom " + std::to_string(id) + " of type " +
-                                type.name + ": " +
-                                timeline.status().message());
+    if (!timeline.ok()) return corrupt(id, timeline.status().message());
+    versions.clear();
+    return Status::OK();
+  };
+  TCOB_RETURN_NOT_OK(DoScanVersions(
+      type, Interval::All(), [&](const AtomVersion& v) -> Result<bool> {
+        if (!versions.empty() && v.id != versions.front().id) {
+          if (v.id < versions.front().id) {
+            return corrupt(v.id, "versions out of atom order");
+          }
+          TCOB_RETURN_NOT_OK(check_atom());
+        }
+        versions.push_back(v);
+        return true;
+      }));
+  TCOB_RETURN_NOT_OK(check_atom());
+  if (cold_ != nullptr) {
+    TCOB_RETURN_NOT_OK(cold_->VerifyIntegrity(type));
+    if (!cold_counts.empty()) {
+      return corrupt(cold_counts.begin()->first,
+                     "cold versions without a hot anchor");
     }
   }
   return VerifyStructure(type);

@@ -153,6 +153,15 @@ class TemporalAtomStore {
     return DoGetVersions(type, id, window);
   }
 
+  /// The newest version of `id`, live or closed, for write validation:
+  /// one index probe on snapshot storage, the cluster's last entry on
+  /// integrated storage, the current record (plus the chain head when
+  /// the atom is dead) on separated storage. NotFound only if the atom
+  /// was never inserted. Not counted in access_stats(), which meters
+  /// reads.
+  virtual Result<AtomVersion> GetNewest(const AtomTypeDef& type,
+                                        AtomId id) const = 0;
+
   /// Streams the version of *every* atom of `type` valid at `t`.
   Status ScanAsOf(const AtomTypeDef& type, Timestamp t,
                   const VersionCallback& fn) const {

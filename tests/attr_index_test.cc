@@ -6,6 +6,7 @@
 #include "db/database.h"
 #include "query/parser.h"
 #include "query/planner.h"
+#include "workload/company.h"
 
 namespace tcob {
 namespace {
@@ -235,6 +236,56 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, AttrIndexTest,
                          [](const auto& info) {
                            return StorageStrategyName(info.param);
                          });
+
+/// The index work of one indexed lookup is an exact count: which node
+/// pages a plan searches depends only on the trees, so repeating the
+/// statement repeats the count, and EXPLAIN ANALYZE and the metrics
+/// report the same numbers.
+TEST(IndexWorkTest, IndexedLookupOnSeparatedStorageVisitsFixedNodes) {
+  TempDir dir;
+  DatabaseOptions options;
+  options.strategy = StorageStrategy::kSeparated;
+  auto db = Database::Open(dir.path() + "/db", options).value();
+  CompanyConfig config;
+  config.depts = 64;
+  config.emps_per_dept = 10;
+  config.dept_update_prob = 0;  // department names never change
+  auto handles = BuildCompany(db.get(), config);
+  ASSERT_TRUE(handles.ok()) << handles.status().ToString();
+  ASSERT_TRUE(db->CreateAttrIndex("dept_name", "Dept", "name").ok());
+
+  // One attribute-index scan of a one-leaf tree, then one current-index
+  // Get per atom of the molecule: the department (a one-leaf tree) and 10
+  // employees and 10 projects (two-level trees): 1 + 1 + 20 + 20 nodes.
+  const std::string mql =
+      "SELECT ALL FROM DeptMol WHERE Dept.name = 'dept-7' VALID AT NOW";
+  for (int run = 0; run < 3; ++run) {
+    const MetricsSnapshot before = db->MetricsSnapshot();
+    auto rows = db->Execute(mql);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->RowCount(), 21u);
+    const MetricsSnapshot after = db->MetricsSnapshot();
+    const IndexStats& index = db->last_query_stats().index;
+    EXPECT_EQ(index.probes, 22u);
+    EXPECT_EQ(index.node_visits, 42u);
+    EXPECT_EQ(after.CounterOr("tcob_index_probes_total") -
+                  before.CounterOr("tcob_index_probes_total"),
+              index.probes);
+    EXPECT_EQ(after.CounterOr("tcob_index_node_visits_total") -
+                  before.CounterOr("tcob_index_node_visits_total"),
+              index.node_visits);
+  }
+  auto explain = db->Execute("EXPLAIN ANALYZE " + mql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  std::map<std::string, int64_t> index_rows;
+  for (const auto& row : explain->rows) {
+    if (row[0].AsString() == "index") {
+      index_rows[row[1].AsString()] = row[2].AsInt();
+    }
+  }
+  EXPECT_EQ(index_rows["probes"], 22);
+  EXPECT_EQ(index_rows["node_visits"], 42);
+}
 
 }  // namespace
 }  // namespace tcob

@@ -157,6 +157,50 @@ TEST(HashTest, StableAndSensitive) {
   EXPECT_GT(seen.size(), 9990u);
 }
 
+TEST(Crc32cTest, KnownAnswers) {
+  // RFC 3720 appendix B.4, plus the common "123456789" check value.
+  std::string zeros(32, '\x00');
+  std::string ones(32, '\xff');
+  std::string ascending(32, '\0');
+  for (int i = 0; i < 32; ++i) ascending[i] = static_cast<char>(i);
+  struct Case {
+    std::string input;
+    uint32_t crc;
+  };
+  const Case cases[] = {{zeros, 0x8A9136AAu},
+                        {ones, 0x62A8AB43u},
+                        {ascending, 0x46DD794Eu},
+                        {"123456789", 0xE3069283u}};
+  for (const Case& c : cases) {
+    EXPECT_EQ(Crc32c(c.input.data(), c.input.size()), c.crc);
+    EXPECT_EQ(Crc32cSoftware(c.input.data(), c.input.size()), c.crc);
+    if (Crc32cHardwareAvailable()) {
+      EXPECT_EQ(Crc32cHardware(c.input.data(), c.input.size()), c.crc);
+    }
+  }
+  // The seed chains: a CRC over two parts equals the CRC of the whole.
+  EXPECT_EQ(Crc32c("6789", 4, Crc32c("12345", 5)), 0xE3069283u);
+}
+
+TEST(Crc32cTest, HardwareMatchesTableAtEveryLengthAndAlignment) {
+  if (!Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  Random rng(3720);
+  std::string buf(4200 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4200; ++len) {
+      const char* p = buf.data() + offset;
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      ASSERT_EQ(Crc32cHardware(p, len), Crc32cSoftware(p, len))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32cHardware(p, len, seed), Crc32cSoftware(p, len, seed))
+          << "offset " << offset << " length " << len << " seeded";
+    }
+  }
+}
+
 TEST(LoggingTest, LevelFilterRoundTrip) {
   LogLevel before = GetLogLevel();
   SetLogLevel(LogLevel::kError);

@@ -175,6 +175,8 @@ TEST_P(ExplainTest, TraceReconcilesWithMetricsSnapshot) {
   EXPECT_EQ(delta("tcob_pool_fetches_total"), trace.pool.fetches);
   EXPECT_EQ(delta("tcob_pool_hits_total"), trace.pool.hits);
   EXPECT_EQ(delta("tcob_pool_misses_total"), trace.pool.misses);
+  EXPECT_EQ(delta("tcob_index_probes_total"), trace.index.probes);
+  EXPECT_EQ(delta("tcob_index_node_visits_total"), trace.index.node_visits);
   EXPECT_EQ(delta("tcob_vcache_atom_hits_total"), trace.cache.atom_hits);
   EXPECT_EQ(delta("tcob_vcache_atom_misses_total"), trace.cache.atom_misses);
   EXPECT_EQ(delta("tcob_vcache_versions_pinned_total"),
@@ -184,6 +186,8 @@ TEST_P(ExplainTest, TraceReconcilesWithMetricsSnapshot) {
                 before.histograms.at("tcob_query_latency_us").count,
             1u);
   EXPECT_GT(trace.store.Total(), 0u);
+  EXPECT_GT(trace.index.probes, 0u);
+  EXPECT_GE(trace.index.node_visits, trace.index.probes);
 }
 
 TEST_P(ExplainTest, RepeatedParallelQueriesGiveIdenticalCounterDeltas) {
